@@ -110,20 +110,6 @@ impl SuiteChoice {
             Self::Sized { per_family, len } => ExperimentContext::sized(per_family, len),
         }
     }
-
-    /// The trace specs [`build`](Self::build) would construct its suite
-    /// from, *without* generating any trace — specs are a few bytes of
-    /// identity (family, seed, length) and are all a request router
-    /// needs to compute content-addressed keys.
-    #[must_use]
-    pub fn specs(self) -> Vec<TraceSpec> {
-        match self {
-            Self::Quick => suite(1, 10_000),
-            Self::Standard => suite(7, 200_000),
-            Self::Paper => suite(76, 200_000),
-            Self::Sized { per_family, len } => suite(per_family, len),
-        }
-    }
 }
 
 /// Everything an experiment needs: the calibrated models, the machine,
@@ -472,20 +458,6 @@ mod tests {
         for (spec, trace) in ctx.specs.iter().zip(&ctx.suite) {
             assert_eq!(spec.name(), trace.name, "specs track traces");
         }
-    }
-
-    #[test]
-    fn suite_choice_specs_match_built_contexts() {
-        // `specs()` must never drift from what `build()` constructs —
-        // the router computes keys from the former, the shards from the
-        // latter.
-        let ctx = SuiteChoice::Quick.build().unwrap();
-        assert_eq!(ctx.specs, SuiteChoice::Quick.specs());
-        let choice = SuiteChoice::Sized {
-            per_family: 2,
-            len: 5_000,
-        };
-        assert_eq!(choice.build().unwrap().specs, choice.specs());
     }
 
     #[test]

@@ -185,7 +185,9 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-const MAX_DEPTH: usize = 128;
+/// Deepest nesting [`parse`] accepts: the top-level value sits at depth
+/// 0 and each enclosing array or object adds one.
+pub const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
     bytes: &'a [u8],
@@ -450,8 +452,8 @@ impl<'a> Parser<'a> {
 /// # Errors
 ///
 /// Returns a [`JsonError`] (offset + reason) on any deviation from the
-/// JSON grammar, on duplicate object keys, on nesting deeper than 128,
-/// and on trailing non-whitespace after the value.
+/// JSON grammar, on duplicate object keys, on nesting deeper than
+/// [`MAX_DEPTH`], and on trailing non-whitespace after the value.
 pub fn parse(input: &str) -> Result<Value, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),

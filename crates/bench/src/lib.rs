@@ -43,8 +43,7 @@ pub use error::ExperimentError;
 pub use lockdep::{OrderedCondvar, OrderedGuard, OrderedMutex};
 pub use report::TextTable;
 pub use store::{
-    Flight, FlightGuard, FlightWaiter, KeyOwnership, RemoteFetch, ResultStore, StoreError,
-    StoreStats, QUARANTINE_DIR,
+    Flight, FlightGuard, FlightWaiter, ResultStore, StoreError, StoreStats, QUARANTINE_DIR,
 };
 pub use store_io::{FaultCounts, FaultKind, FaultPlan, FaultyIo, RealIo, RetryPolicy, StoreIo};
 pub use trajectory::{FamilyThroughput, TrajectoryEntry, TrajectoryFormatError, TRAJECTORY_SCHEMA};

@@ -140,33 +140,10 @@ pub struct StoreStats {
     pub write_failures: u64,
     /// Stale `*.tmp.*` publish leftovers removed at startup.
     pub orphans_swept: u64,
-    /// Inserts for keys outside this store's owned slice (sharded
-    /// daemons only): kept in memory, never published to disk.
-    pub foreign_puts: u64,
-    /// Local misses that consulted the read-through peer hook (sharded
-    /// daemons only) before falling back to simulation.
-    pub peer_fetches: u64,
-    /// Peer fetches the key's ring owner answered — each one is a
-    /// simulation this node did not have to run.
-    pub peer_hits: u64,
     /// Whether the store has latched memory-only (degraded) mode after a
     /// publish exhausted its retries. Sticky until restart.
     pub degraded: bool,
 }
-
-/// Predicate deciding whether this store instance *owns* a key's disk
-/// slot — the sharded serve tier's consistent-hash ring, closed over a
-/// shard index. Stores without one (the default) own every key.
-pub type KeyOwnership = Arc<dyn Fn(SimKey) -> bool + Send + Sync>;
-
-/// Read-through hook consulted on a local miss before the caller
-/// simulates: ask the key's ring owner for its copy (the sharded serve
-/// tier dials the owning shard's `peer_get` endpoint). Must be
-/// **non-cascading** — the hook is never invoked while *serving* a peer
-/// request ([`ResultStore::peek_local`] skips it), so two shards missing
-/// the same key cannot chase each other. Any failure maps to `None`:
-/// peer trouble degrades to a local simulation, never to an error.
-pub type RemoteFetch = Arc<dyn Fn(SimKey) -> Option<SimResult> + Send + Sync>;
 
 thread_local! {
     // Per-thread miss tally across all stores. A serve worker handles a
@@ -345,14 +322,7 @@ pub struct ResultStore {
     retries: AtomicU64,
     write_failures: AtomicU64,
     pub(crate) orphans_swept: AtomicU64,
-    foreign_puts: AtomicU64,
-    peer_fetches: AtomicU64,
-    peer_hits: AtomicU64,
     degraded: AtomicBool,
-    /// `None` = this store owns every key (the single-daemon shape).
-    owned: Option<KeyOwnership>,
-    /// `None` = no read-through peer tier (the single-daemon shape).
-    remote: Option<RemoteFetch>,
 }
 
 impl fmt::Debug for ResultStore {
@@ -425,38 +395,7 @@ impl ResultStore {
             retries: AtomicU64::new(0),
             write_failures: AtomicU64::new(0),
             orphans_swept: AtomicU64::new(0),
-            foreign_puts: AtomicU64::new(0),
-            peer_fetches: AtomicU64::new(0),
-            peer_hits: AtomicU64::new(0),
             degraded: AtomicBool::new(false),
-            owned: None,
-            remote: None,
-        }
-    }
-
-    /// Restricts disk ownership to the keys `owner` accepts (the
-    /// sharded serve tier hands each shard its ring slice). Results for
-    /// non-owned keys still land in this store's memory tier — they are
-    /// valid, just another shard's to persist — and are tallied in
-    /// [`StoreStats::foreign_puts`].
-    #[must_use]
-    pub fn with_key_owner(self, owner: KeyOwnership) -> Self {
-        Self {
-            owned: Some(owner),
-            ..self
-        }
-    }
-
-    /// Installs a read-through peer hook consulted on local (LRU + disk)
-    /// misses before the caller simulates. A remote hit lands in this
-    /// store's memory tier and counts as a hit plus
-    /// [`StoreStats::peer_hits`]; any hook failure is a plain miss. See
-    /// [`RemoteFetch`] for the no-cascade contract.
-    #[must_use]
-    pub fn with_remote_fetch(self, remote: RemoteFetch) -> Self {
-        Self {
-            remote: Some(remote),
-            ..self
         }
     }
 
@@ -488,9 +427,6 @@ impl ResultStore {
             retries: self.retries.load(Ordering::Relaxed),
             write_failures: self.write_failures.load(Ordering::Relaxed),
             orphans_swept: self.orphans_swept.load(Ordering::Relaxed),
-            foreign_puts: self.foreign_puts.load(Ordering::Relaxed),
-            peer_fetches: self.peer_fetches.load(Ordering::Relaxed),
-            peer_hits: self.peer_hits.load(Ordering::Relaxed),
             degraded: self.degraded.load(Ordering::Relaxed),
         }
     }
@@ -553,46 +489,13 @@ impl ResultStore {
         eprintln!("lowvcc-store: quarantined {}: {why}", path.display());
     }
 
-    /// Counter-free lookup: LRU, then disk, then — only here — the
-    /// read-through peer hook. Infallible: every failure mode degrades
-    /// to a miss.
+    /// Counter-free lookup: LRU, then disk (promoting a disk hit into
+    /// the LRU). Infallible — a record that cannot be read or decoded is
+    /// quarantined and reported as a miss.
     fn probe(&self, key: SimKey) -> Option<SimResult> {
-        if let Some(hit) = self.peek_local(key) {
-            return Some(hit);
-        }
-        self.probe_remote(key)
-    }
-
-    /// Local-tiers-only lookup (LRU, then disk, promoting a disk hit
-    /// into the LRU), counter-free and **never** consulting the
-    /// [`RemoteFetch`] hook. This is what a shard answers `peer_get`
-    /// requests from — the no-cascade rule: serving a peer never
-    /// triggers another peer fetch.
-    #[must_use]
-    pub fn peek_local(&self, key: SimKey) -> Option<SimResult> {
         if let Some(hit) = self.lru.lock().get(key) {
             return Some(hit);
         }
-        self.probe_disk(key)
-    }
-
-    /// Asks the read-through hook (if any) for a key both local tiers
-    /// missed. A remote hit is promoted into the LRU: it is a valid
-    /// result, just another shard's to persist, so it never touches
-    /// this store's disk slice.
-    fn probe_remote(&self, key: SimKey) -> Option<SimResult> {
-        let remote = self.remote.as_ref()?;
-        self.peer_fetches.fetch_add(1, Ordering::Relaxed);
-        let result = remote(key)?;
-        self.peer_hits.fetch_add(1, Ordering::Relaxed);
-        self.lru.lock().insert(key, result.clone());
-        Some(result)
-    }
-
-    /// Disk tier of [`peek_local`](Self::peek_local). Infallible — a
-    /// record that cannot be read or decoded is quarantined and
-    /// reported as a miss.
-    fn probe_disk(&self, key: SimKey) -> Option<SimResult> {
         let path = self.entry_path(key)?;
         let bytes = match self.io.read(&path) {
             Ok(b) => b,
@@ -734,15 +637,6 @@ impl ResultStore {
     pub fn put(&self, key: SimKey, result: &SimResult) {
         self.lru.lock().insert(key, result.clone());
         self.stores.fetch_add(1, Ordering::Relaxed);
-        if let Some(owner) = &self.owned {
-            if !owner(key) {
-                // Another shard's slice: the result is still valid (and
-                // cached in memory above), but its disk slot belongs to
-                // the owning shard — publishing here would race it.
-                self.foreign_puts.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-        }
         let Some(path) = self.entry_path(key) else {
             return;
         };
@@ -897,35 +791,6 @@ mod tests {
         let s = store.stats();
         assert_eq!((s.hits, s.misses, s.stores), (1, 1, 1));
         assert!(!s.degraded);
-    }
-
-    #[test]
-    fn remote_fetch_fills_local_misses_but_peek_never_cascades() {
-        let (key, result) = run_one();
-        let calls = Arc::new(AtomicU64::new(0));
-        let hook_calls = Arc::clone(&calls);
-        let remote_result = result.clone();
-        let store = ResultStore::ephemeral().with_remote_fetch(Arc::new(move |k| {
-            hook_calls.fetch_add(1, Ordering::Relaxed);
-            (k == key).then(|| remote_result.clone())
-        }));
-        // peek_local (what serves peer_get) never consults the hook —
-        // the no-cascade rule.
-        assert!(store.peek_local(key).is_none());
-        assert_eq!(calls.load(Ordering::Relaxed), 0);
-        // A real lookup misses locally, fetches from the peer, and
-        // promotes the result into the memory tier.
-        assert_eq!(store.get(key), Some(result.clone()));
-        let s = store.stats();
-        assert_eq!((s.peer_fetches, s.peer_hits, s.hits), (1, 1, 1));
-        // Promoted: the second lookup answers without dialing again.
-        assert_eq!(store.get(key), Some(result));
-        assert_eq!(calls.load(Ordering::Relaxed), 1);
-        // A hook miss is a plain miss.
-        let other = SimKey::from_value(key.value() ^ 1);
-        assert_eq!(store.get(other), None);
-        let s = store.stats();
-        assert_eq!((s.peer_fetches, s.peer_hits, s.misses), (2, 1, 1));
     }
 
     #[test]

@@ -353,7 +353,7 @@ impl SimKey {
 
     /// Reconstructs a key from its raw 128-bit value — the inverse of
     /// [`SimKey::value`]. Used when a key round-trips through an
-    /// external representation (a bundle file, a `peer_get` request)
+    /// external representation (a bundle file, an admin command line)
     /// rather than being derived from simulation inputs.
     #[must_use]
     pub fn from_value(value: u128) -> Self {

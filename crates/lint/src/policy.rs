@@ -5,13 +5,9 @@
 //! * **Determinism** (`no-std-hash`) binds the result-producing crates
 //!   — `core`, `baselines` and `bench`'s experiment drivers — where
 //!   randomized hash iteration order could leak into published
-//!   numbers, plus serve's sharding layer (`shard.rs`, `router.rs`):
-//!   the ring partition and the router's merge order must be pure
-//!   functions of configuration, so a `RandomState` leak there would
-//!   scatter keys across shards between runs. Infrastructure code
-//!   (`trace` synthesis internals, the store's keyed maps, serve's
-//!   connection registry in `conn.rs`) may hash freely: it never
-//!   iterates into an output.
+//!   numbers. Infrastructure code (`trace` synthesis internals, the
+//!   store's keyed maps, serve's connection registry in `conn.rs`) may
+//!   hash freely: it never iterates into an output.
 //! * **Determinism** (`no-wallclock`) binds everything *except* the
 //!   three whitelisted timing modules: the perf trajectory recorder,
 //!   the serve crate (socket timeouts and drain deadlines), and the
@@ -71,9 +67,7 @@ pub fn policy_for(rel: &str) -> Option<Policy> {
 
     let no_std_hash = rel.starts_with("crates/core/src/")
         || rel.starts_with("crates/baselines/src/")
-        || rel.starts_with("crates/bench/src/experiments")
-        || rel == "crates/serve/src/shard.rs"
-        || rel == "crates/serve/src/router.rs";
+        || rel.starts_with("crates/bench/src/experiments");
 
     let wallclock_whitelisted = rel.starts_with("crates/serve/src/")
         || rel == "crates/bench/src/trajectory.rs"
@@ -110,20 +104,6 @@ mod tests {
         let serve = policy_for("crates/serve/src/lib.rs").unwrap();
         assert!(serve.no_panic && !serve.no_wallclock && serve.no_print);
 
-        let shard = policy_for("crates/serve/src/shard.rs").unwrap();
-        assert!(
-            shard.no_std_hash && shard.no_panic,
-            "the ring partition must not depend on RandomState"
-        );
-        let router = policy_for("crates/serve/src/router.rs").unwrap();
-        assert!(
-            router.no_std_hash,
-            "router merge order must not depend on RandomState"
-        );
-        assert!(
-            router.no_panic,
-            "the failover path must degrade, never panic"
-        );
         let conn = policy_for("crates/serve/src/conn.rs").unwrap();
         assert!(
             !conn.no_std_hash,

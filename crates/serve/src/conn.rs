@@ -34,9 +34,9 @@ use std::time::{Duration, Instant};
 use lowvcc_bench::json;
 use lowvcc_bench::lockdep::OrderedMutex;
 
-use crate::metrics::{Metrics, Op};
+use crate::metrics::Metrics;
 use crate::reactor::{Interest, Reactor, Waker};
-use crate::ServeOptions;
+use crate::{Daemon, ServeOptions};
 
 /// Longest accepted request line (bytes, newline excluded). A peer that
 /// exceeds it is a protocol error, not a memory commitment.
@@ -44,25 +44,6 @@ pub const MAX_LINE: usize = 1 << 20;
 
 /// The listener's registration token (`u64::MAX` is the reactor's).
 const LISTENER_TOKEN: u64 = u64::MAX - 1;
-
-/// One answered request line: what a [`Service`] hands back to the loop.
-#[derive(Debug)]
-pub struct Reply {
-    /// The response line (no trailing newline).
-    pub body: String,
-    /// True when this request stops the serve loop (`shutdown`).
-    pub stop: bool,
-    /// Request class, for the latency histograms.
-    pub op: Op,
-}
-
-/// What the worker pool runs: one request line in, one [`Reply`] out.
-/// Implemented by the shard daemon and the cluster router.
-pub trait Service: Sync {
-    /// Answers one raw request line. Called on a worker thread; must
-    /// not assume any connection state beyond the line itself.
-    fn call(&self, line: &str) -> Reply;
-}
 
 /// A request line travelling loop → worker.
 struct Job {
@@ -78,7 +59,12 @@ struct Done {
 }
 
 enum Outcome {
-    Reply(Reply),
+    /// The response line (no trailing newline), and whether it stops the
+    /// serve loop (`shutdown`).
+    Reply {
+        body: String,
+        stop: bool,
+    },
     /// Dequeued after shutdown began: answered without computing.
     DrainRefused(String),
     Panicked,
@@ -141,21 +127,17 @@ impl Conn {
 }
 
 /// Runs the readiness-driven serve loop over `listener` until a
-/// handler returns `stop` (or a listener/reactor error), dispatching
-/// request lines to a pool of `opts.threads` workers calling `svc`.
-/// Connection outcomes, queue depth and per-op latencies land in
-/// `metrics`.
+/// request returns `stop` (or a listener/reactor error), dispatching
+/// request lines to a pool of `opts.threads` workers answering them
+/// with `daemon`. Connection outcomes, queue depth and per-op latencies
+/// land in the daemon's [`Metrics`].
 ///
 /// # Errors
 ///
 /// Propagates reactor setup and listener failures. Per-connection
 /// failures only end that connection, counted and logged.
-pub fn run<S: Service>(
-    svc: &S,
-    metrics: &Metrics,
-    listener: &TcpListener,
-    opts: ServeOptions,
-) -> io::Result<()> {
+pub fn run(daemon: &Daemon, listener: &TcpListener, opts: ServeOptions) -> io::Result<()> {
+    let metrics: &Metrics = daemon.metrics();
     let opts = opts.clamped();
     listener.set_nonblocking(true)?;
     let reactor = Reactor::new()?;
@@ -172,7 +154,7 @@ pub fn run<S: Service>(
             let done = &done;
             let draining = &draining;
             let waker = reactor.waker();
-            s.spawn(move || worker(svc, metrics, job_rx, done, draining, waker));
+            s.spawn(move || worker(daemon, job_rx, done, draining, waker));
         }
         let result = Loop {
             metrics,
@@ -200,24 +182,24 @@ pub fn run<S: Service>(
 /// One pool worker: dequeue lines until the channel closes. A panicking
 /// handler is caught and reported — the worker (and the daemon)
 /// survive it.
-fn worker<S: Service>(
-    svc: &S,
-    metrics: &Metrics,
+fn worker(
+    daemon: &Daemon,
     job_rx: &OrderedMutex<mpsc::Receiver<Job>>,
     done: &OrderedMutex<Vec<Done>>,
     draining: &AtomicBool,
     waker: Waker,
 ) {
+    let metrics = daemon.metrics();
     loop {
         let next = job_rx.lock().recv();
         let Ok(job) = next else { break };
         let outcome = if draining.load(Ordering::SeqCst) {
             Outcome::DrainRefused(error_line("daemon is shutting down", false))
         } else {
-            match catch_unwind(AssertUnwindSafe(|| svc.call(&job.line))) {
-                Ok(reply) => {
-                    metrics.record(reply.op, job.enqueued.elapsed());
-                    Outcome::Reply(reply)
+            match catch_unwind(AssertUnwindSafe(|| daemon.answer(&job.line))) {
+                Ok((body, stop, op)) => {
+                    metrics.record(op, job.enqueued.elapsed());
+                    Outcome::Reply { body, stop }
                 }
                 Err(_) => Outcome::Panicked,
             }
@@ -233,7 +215,7 @@ fn worker<S: Service>(
 
 /// Renders the protocol error line `{"ok": false, "error": …}` (with
 /// `"busy": true` for accept-gate refusals).
-fn error_line(error: &str, busy: bool) -> String {
+pub(crate) fn error_line(error: &str, busy: bool) -> String {
     let mut fields = vec![("ok", json::boolean(false)), ("error", json::string(error))];
     if busy {
         fields.push(("busy", json::boolean(true)));
@@ -465,10 +447,10 @@ impl Loop<'_> {
         let mut stop = false;
         if let Some(conn) = self.conns.get_mut(&d.conn) {
             match d.outcome {
-                Outcome::Reply(reply) => {
+                Outcome::Reply { body, stop: stops } => {
                     conn.in_flight = false;
-                    queue_response(conn, &reply.body);
-                    stop = reply.stop;
+                    queue_response(conn, &body);
+                    stop = stops;
                 }
                 Outcome::DrainRefused(body) => {
                     conn.in_flight = false;

@@ -21,7 +21,6 @@
 //! {"experiment": "sweep", "vcc": 575}      → one operating point
 //! {"experiment": "table1", "vcc": 500}     → quantitative Table 1 rows
 //! {"experiment": "stalls", "vcc": 575}     → §5.2 stall attribution
-//! {"experiment": "peer_get", "key": HEX}   → read-through probe (shards)
 //! {"experiment": "shutdown"}
 //! ```
 //!
@@ -69,13 +68,6 @@
 //! published to the store.) Every connection outcome lands in the
 //! [`metrics`] registry, surfaced by `stats`/`metrics` and logged to
 //! stderr.
-//!
-//! ## Sharding
-//!
-//! `--shards N` runs N such daemons, each owning a deterministic slice
-//! of the key space via the [`shard`] consistent-hash ring, behind a
-//! [`router`] that forwards each request to the owning shard and merges
-//! full-grid sweeps byte-identically with the single-process daemon.
 
 use std::io;
 use std::net::TcpListener;
@@ -83,8 +75,7 @@ use std::time::Duration;
 
 use lowvcc_bench::experiments::{point, point_json, stalls, sweep, table1};
 use lowvcc_bench::{json, ExperimentContext, ExperimentError, ResultStore};
-use lowvcc_core::{encode_sim_result, SimKey};
-use lowvcc_sram::{Millivolts, VoltageError, PAPER_SWEEP};
+use lowvcc_sram::{Millivolts, VoltageError};
 
 use std::fmt;
 use std::sync::atomic::Ordering;
@@ -93,8 +84,6 @@ use std::sync::Arc;
 pub mod conn;
 pub mod metrics;
 pub mod reactor;
-pub mod router;
-pub mod shard;
 
 use metrics::{Metrics, Op};
 
@@ -113,10 +102,6 @@ pub enum Request {
     Table1(Millivolts),
     /// §5.2 stall attribution at a voltage (default 575 mV).
     Stalls(Millivolts),
-    /// A peer shard's read-through probe for one [`SimKey`]: answered
-    /// from this daemon's local cache tiers only, never by simulating
-    /// and never by asking a further peer (the no-cascade rule).
-    PeerGet(SimKey),
     /// Stop accepting and exit the serve loop.
     Shutdown,
 }
@@ -138,9 +123,6 @@ pub enum RequestError {
     VccNotInteger,
     /// The `"vcc"` field does not fit a millivolt count.
     VccOutOfRange(u64),
-    /// The `"key"` field of a `peer_get` is not a 32-hex-digit
-    /// [`SimKey`] rendering.
-    BadPeerKey,
     /// The voltage is outside the calibrated model range.
     Voltage(VoltageError),
 }
@@ -153,9 +135,6 @@ impl fmt::Display for RequestError {
             Self::UnknownExperiment(other) => write!(f, "unknown experiment {other:?}"),
             Self::VccNotInteger => write!(f, "\"vcc\" must be a whole number of millivolts"),
             Self::VccOutOfRange(mv) => write!(f, "\"vcc\" {mv} out of range"),
-            Self::BadPeerKey => {
-                write!(f, "\"key\" must be a 32-hex-digit simulation key")
-            }
             Self::Voltage(e) => write!(f, "{e}"),
         }
     }
@@ -197,12 +176,6 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
         },
         "table1" => Ok(Request::Table1(parse_vcc(v.get("vcc"), 500)?)),
         "stalls" => Ok(Request::Stalls(parse_vcc(v.get("vcc"), 575)?)),
-        "peer_get" => v
-            .get("key")
-            .and_then(json::Value::as_str)
-            .and_then(SimKey::from_hex)
-            .map(Request::PeerGet)
-            .ok_or(RequestError::BadPeerKey),
         "shutdown" => Ok(Request::Shutdown),
         other => Err(RequestError::UnknownExperiment(other.to_string())),
     }
@@ -220,7 +193,6 @@ pub fn op_of(parsed: &Result<Request, RequestError>) -> Op {
         Ok(Request::Sweep(None)) => Op::SweepFull,
         Ok(Request::Table1(_)) => Op::Table1,
         Ok(Request::Stalls(_)) => Op::Stalls,
-        Ok(Request::PeerGet(_)) => Op::PeerGet,
         Ok(Request::Shutdown) => Op::Shutdown,
         Err(_) => Op::Invalid,
     }
@@ -317,9 +289,6 @@ pub struct Daemon {
     /// is the same store `ctx.cache` carries.
     store: Arc<ResultStore>,
     metrics: Arc<Metrics>,
-    /// `(index, count)` when this daemon is one shard of a cluster;
-    /// echoed by the `metrics` response.
-    shard: Option<(u32, u32)>,
 }
 
 impl Daemon {
@@ -340,17 +309,7 @@ impl Daemon {
             ctx,
             store,
             metrics: Arc::new(Metrics::new()),
-            shard: None,
         }
-    }
-
-    /// Marks this daemon as shard `index` of `count` (reported by its
-    /// `metrics` response; the store's key-slice ownership is attached
-    /// to the [`ResultStore`] itself via `with_key_owner`).
-    #[must_use]
-    pub fn with_shard(mut self, index: u32, count: u32) -> Self {
-        self.shard = Some((index, count));
-        self
     }
 
     /// The wrapped context.
@@ -406,62 +365,33 @@ impl Daemon {
         Ok(())
     }
 
-    /// Shard-aware warm-up: pre-fills only the operating points whose
-    /// routing anchor `ring` assigns to shard `index` — each shard of a
-    /// cluster warms its own slice, together covering exactly what
-    /// [`warm`](Self::warm) covers on a single daemon.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation and cache failures.
-    pub fn warm_slice(&self, ring: &shard::Ring, index: u32) -> Result<(), ExperimentError> {
-        const TABLE1_DEFAULT: Millivolts = Millivolts::literal(500);
-        const STALLS_DEFAULT: Millivolts = Millivolts::literal(575);
-        let anchor =
-            |vcc| shard::voltage_anchor(self.ctx.core, &self.ctx.timing, &self.ctx.specs[0], vcc);
-        for vcc in PAPER_SWEEP.iter() {
-            if ring.owns(index, anchor(vcc)) {
-                point(&self.ctx, vcc)?;
-            }
-        }
-        if ring.owns(index, anchor(TABLE1_DEFAULT)) {
-            table1::quantitative_rows_at(&self.ctx, TABLE1_DEFAULT)?;
-        }
-        if ring.owns(index, anchor(STALLS_DEFAULT)) {
-            stalls::measure(&self.ctx)?;
-        }
-        Ok(())
-    }
-
     /// Executes `req`, returning the response line (without newline) and
     /// whether the connection should shut the daemon down.
     #[must_use]
     pub fn handle(&self, req: Request) -> (String, bool) {
         match self.respond(req) {
             Ok((body, stop)) => (body, stop),
-            Err(e) => (
-                json::object(&[
-                    ("ok", json::boolean(false)),
-                    ("error", json::string(&e.to_string())),
-                ]),
-                false,
-            ),
+            Err(e) => (conn::error_line(&e.to_string(), false), false),
         }
     }
 
     /// Parses and executes one raw request line.
     #[must_use]
     pub fn handle_line(&self, line: &str) -> (String, bool) {
-        match parse_request(line) {
+        let (body, stop, _) = self.answer(line);
+        (body, stop)
+    }
+
+    /// [`handle_line`](Self::handle_line) plus the request's [`Op`]
+    /// class, which the serve loop's latency histograms are keyed by.
+    pub(crate) fn answer(&self, line: &str) -> (String, bool, Op) {
+        let parsed = parse_request(line);
+        let op = op_of(&parsed);
+        let (body, stop) = match parsed {
             Ok(req) => self.handle(req),
-            Err(e) => (
-                json::object(&[
-                    ("ok", json::boolean(false)),
-                    ("error", json::string(&e.to_string())),
-                ]),
-                false,
-            ),
-        }
+            Err(e) => (conn::error_line(&e.to_string(), false), false),
+        };
+        (body, stop, op)
     }
 
     fn respond(&self, req: Request) -> Result<(String, bool), ExperimentError> {
@@ -484,10 +414,7 @@ impl Daemon {
                 ]),
                 true,
             )),
-            Request::Metrics => Ok((
-                self.metrics.to_json(self.shard, &self.store().stats()),
-                false,
-            )),
+            Request::Metrics => Ok((self.metrics.to_json(&self.store().stats()), false)),
             Request::Stats => {
                 let s = self.store().stats();
                 let disk = self.store().disk_entries();
@@ -509,9 +436,6 @@ impl Daemon {
                         ("retries", s.retries.to_string()),
                         ("write_failures", s.write_failures.to_string()),
                         ("orphans_swept", s.orphans_swept.to_string()),
-                        ("foreign_puts", s.foreign_puts.to_string()),
-                        ("peer_fetches", s.peer_fetches.to_string()),
-                        ("peer_hits", s.peer_hits.to_string()),
                         ("connections_accepted", c.accepted.to_string()),
                         ("connections_completed", c.completed.to_string()),
                         ("connections_refused", c.refused_busy.to_string()),
@@ -577,29 +501,6 @@ impl Daemon {
                     false,
                 ))
             }
-            Request::PeerGet(key) => {
-                // Local tiers only (`peek_local`): a peer probe must
-                // never simulate and never cascade into a further peer
-                // fetch — two shards missing the same key would
-                // otherwise chase each other.
-                let fields: Vec<(&str, String)> = match self.store().peek_local(key) {
-                    Some(result) => vec![
-                        ("ok", json::boolean(true)),
-                        ("experiment", json::string("peer_get")),
-                        ("hit", json::boolean(true)),
-                        (
-                            "record",
-                            json::string(&shard::encode_hex(&encode_sim_result(&result))),
-                        ),
-                    ],
-                    None => vec![
-                        ("ok", json::boolean(true)),
-                        ("experiment", json::string("peer_get")),
-                        ("hit", json::boolean(false)),
-                    ],
-                };
-                Ok((json::object(&fields), false))
-            }
             Request::Stalls(vcc) => {
                 let r = stalls::measure_at(&self.ctx, vcc)?;
                 Ok((
@@ -648,25 +549,7 @@ impl Daemon {
     /// [`serve_counters`](Self::serve_counters)), never silently
     /// dropped, and never kill the daemon.
     pub fn serve_with(&self, listener: &TcpListener, opts: ServeOptions) -> io::Result<()> {
-        conn::run(self, &self.metrics, listener, opts)
-    }
-}
-
-impl conn::Service for Daemon {
-    fn call(&self, line: &str) -> conn::Reply {
-        let parsed = parse_request(line);
-        let op = op_of(&parsed);
-        let (body, stop) = match parsed {
-            Ok(req) => self.handle(req),
-            Err(e) => (
-                json::object(&[
-                    ("ok", json::boolean(false)),
-                    ("error", json::string(&e.to_string())),
-                ]),
-                false,
-            ),
-        };
-        conn::Reply { body, stop, op }
+        conn::run(self, listener, opts)
     }
 }
 
@@ -701,61 +584,11 @@ mod tests {
             parse_request(r#"{"experiment":"shutdown"}"#),
             Ok(Request::Shutdown)
         );
-        let hex = "00112233445566778899aabbccddeeff";
-        assert_eq!(
-            parse_request(&format!(r#"{{"experiment":"peer_get","key":"{hex}"}}"#)),
-            Ok(Request::PeerGet(
-                SimKey::from_hex(hex).expect("valid test key")
-            ))
-        );
-        assert_eq!(
-            parse_request(r#"{"experiment":"peer_get","key":"xyz"}"#),
-            Err(RequestError::BadPeerKey)
-        );
-        assert_eq!(
-            parse_request(r#"{"experiment":"peer_get"}"#),
-            Err(RequestError::BadPeerKey)
-        );
         assert!(parse_request("not json").is_err());
         assert!(parse_request(r#"{"experiment":"lunch"}"#).is_err());
         assert!(parse_request(r#"{"experiment":"sweep","vcc":"high"}"#).is_err());
         assert!(parse_request(r#"{"experiment":"sweep","vcc":12345}"#).is_err());
         assert!(parse_request(r#"{"vcc":500}"#).is_err());
-    }
-
-    #[test]
-    fn peer_get_answers_from_local_tiers_without_simulating() {
-        let d = daemon();
-        let (_, _) = d.handle_line(r#"{"experiment":"sweep","vcc":575}"#);
-        // The 575 mV anchor key was just simulated, so a peer probe hits
-        // and ships a decodable LVCR record.
-        let ctx = d.context();
-        let key = shard::voltage_anchor(
-            ctx.core,
-            &ctx.timing,
-            &ctx.specs[0],
-            Millivolts::literal(575),
-        );
-        let (resp, stop) = d.handle_line(&shard::peer_get_line(key));
-        assert!(!stop);
-        let v = json::parse(&resp).unwrap();
-        assert_eq!(v.get("ok").unwrap().as_bool(), Some(true));
-        assert_eq!(v.get("hit").unwrap().as_bool(), Some(true));
-        let record = shard::decode_hex(v.get("record").unwrap().as_str().unwrap()).unwrap();
-        assert!(lowvcc_core::decode_sim_result(&record).is_ok());
-
-        // A cold key answers a miss without simulating or counting one.
-        let misses = d.store().stats().misses;
-        let other = SimKey::from_value(key.value() ^ 0xffff);
-        let (resp, _) = d.handle_line(&shard::peer_get_line(other));
-        let v = json::parse(&resp).unwrap();
-        assert_eq!(v.get("hit").unwrap().as_bool(), Some(false));
-        assert!(v.get("record").is_none());
-        assert_eq!(
-            d.store().stats().misses,
-            misses,
-            "a peer probe is never a miss"
-        );
     }
 
     #[test]
@@ -812,7 +645,6 @@ mod tests {
         assert_eq!(v.get("retries").unwrap().as_u64(), Some(0));
         assert_eq!(v.get("write_failures").unwrap().as_u64(), Some(0));
         assert_eq!(v.get("orphans_swept").unwrap().as_u64(), Some(0));
-        assert_eq!(v.get("foreign_puts").unwrap().as_u64(), Some(0));
 
         let (resp, stop) = d.handle_line(r#"{"experiment":"shutdown"}"#);
         assert!(stop);
@@ -829,7 +661,6 @@ mod tests {
         let v = json::parse(&resp).unwrap();
         assert_eq!(v.get("ok").unwrap().as_bool(), Some(true));
         assert_eq!(v.get("experiment").unwrap().as_str(), Some("metrics"));
-        assert!(v.get("shard_index").is_none(), "unsharded daemon");
         let store = v.get("store").unwrap();
         assert!(store.get("hit_rate").is_some());
         let ops = v.get("ops").unwrap().as_array().unwrap();

@@ -1,14 +1,9 @@
-//! The `lowvcc-serve` binary: bind, optionally pre-fill, serve — as a
-//! single daemon, an in-process sharded cluster, one shard of a manual
-//! cluster, or a standalone router.
+//! The `lowvcc-serve` binary: bind, optionally pre-fill, serve.
 //!
 //! ```text
 //! lowvcc-serve [--suite quick|standard|paper|NxLEN] [--cache DIR]
 //!              [--jobs N] [--threads N] [--max-connections N]
 //!              [--addr HOST:PORT] [--warm] [--warm-bundle FILE]
-//!              [--shards N] [--ring-seed S]
-//!              [--shard-index I --shard-count N] [--peers HOST:PORT,...]
-//!              [--route HOST:PORT,HOST:PORT,...] [--local-fallback]
 //! ```
 //!
 //! Defaults: quick suite, in-memory store, all hardware threads for
@@ -24,37 +19,10 @@
 //! table1/stalls queries) are cache hits from the first request;
 //! non-default table1/stalls voltages simulate once on demand.
 //! `--cache DIR` shares the store with `experiments --cache DIR` —
-//! either can warm it for the other.
-//!
-//! ## Cluster modes
-//!
-//! `--shards N` starts N shard daemons plus a router in one process:
-//! the router binds `--addr` and is announced on **stdout** as
-//! `lowvcc-serve router listening on HOST:PORT`; each shard binds an
-//! ephemeral port announced on **stderr** (`lowvcc-serve shard I
-//! listening on HOST:PORT`) — harnesses scrape stdout and always get
-//! the front door. All shards share `--cache DIR` safely: each only
-//! publishes the key slice the deterministic ring (seeded by
-//! `--ring-seed`) assigns to it. With `--warm`, each shard pre-fills
-//! exactly its own slice.
-//!
-//! `--shard-index I --shard-count N` runs one such shard standalone
-//! (for multi-process clusters); `--route a,b,c` runs the router alone
-//! over already-running shards, which must have been started with the
-//! same suite, shard count and ring seed.
-//!
-//! ## Resilience flags
-//!
-//! `--warm-bundle FILE` imports an LVCB warm-cache bundle (produced by
-//! `lowvcc-store export`) into the store before serving — every shard
-//! of a cluster imports it, so a freshly provisioned fleet answers
-//! warm from the first request. `--peers a,b,c` (standalone shard mode
-//! only, index-aligned with the ring, length = `--shard-count`) turns
-//! on read-through peer replication: a key missing locally is fetched
-//! from its ring owner before being simulated. `--local-fallback`
-//! (router mode only) builds a local simulation context so the router
-//! can answer voltage-routed requests itself when every shard is
-//! unreachable; the in-process `--shards N` cluster always has one.
+//! either can warm it for the other. `--warm-bundle FILE` imports an
+//! LVCB warm-cache bundle (produced by `lowvcc-store export`) into the
+//! store before serving, so a freshly provisioned daemon answers warm
+//! from the first request.
 
 use std::net::TcpListener;
 use std::path::PathBuf;
@@ -62,18 +30,14 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use lowvcc_bench::{ResultStore, SuiteChoice};
-use lowvcc_core::{CoreConfig, Parallelism};
-use lowvcc_serve::router::{start_cluster, ClusterOptions, Router};
-use lowvcc_serve::shard::{read_through, Ring, DEFAULT_RING_SEED, PEER_FETCH_TIMEOUT};
+use lowvcc_core::Parallelism;
 use lowvcc_serve::{Daemon, ServeOptions};
-use lowvcc_sram::CycleTimeModel;
 
 const USAGE: &str = "usage: lowvcc-serve [--suite quick|standard|paper|NxLEN] [--cache DIR] \
                      [--jobs N] [--threads N] [--max-connections N] [--addr HOST:PORT] [--warm] \
-                     [--warm-bundle FILE] [--shards N] [--ring-seed S] \
-                     [--shard-index I --shard-count N] [--peers HOST:PORT,...] \
-                     [--route HOST:PORT,...] [--local-fallback]";
+                     [--warm-bundle FILE]";
 
+#[derive(Debug)]
 struct Options {
     suite: String,
     cache: Option<PathBuf>,
@@ -82,13 +46,6 @@ struct Options {
     addr: String,
     warm: bool,
     warm_bundle: Option<PathBuf>,
-    shards: Option<u32>,
-    shard_index: Option<u32>,
-    shard_count: Option<u32>,
-    peers: Option<String>,
-    route: Option<String>,
-    local_fallback: bool,
-    ring_seed: u64,
     help: bool,
 }
 
@@ -101,13 +58,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String>
         addr: "127.0.0.1:0".to_string(),
         warm: false,
         warm_bundle: None,
-        shards: None,
-        shard_index: None,
-        shard_count: None,
-        peers: None,
-        route: None,
-        local_fallback: false,
-        ring_seed: DEFAULT_RING_SEED,
         help: false,
     };
     let mut args = args.into_iter();
@@ -124,14 +74,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String>
             "--addr" => match args.next() {
                 Some(v) => o.addr = v,
                 None => return Err("--addr needs a value".into()),
-            },
-            "--route" => match args.next() {
-                Some(v) => o.route = Some(v),
-                None => return Err("--route needs a comma-separated address list".into()),
-            },
-            "--peers" => match args.next() {
-                Some(v) => o.peers = Some(v),
-                None => return Err("--peers needs a comma-separated address list".into()),
             },
             "--warm-bundle" => match args.next() {
                 Some(v) => o.warm_bundle = Some(PathBuf::from(v)),
@@ -152,188 +94,30 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String>
                 Some(_) => return Err("--max-connections needs a positive integer".into()),
                 None => return Err("--max-connections needs a value".into()),
             },
-            "--shards" => match args.next().map(|v| v.parse::<u32>()) {
-                Some(Ok(n)) if n > 0 => o.shards = Some(n),
-                Some(_) => return Err("--shards needs a positive integer".into()),
-                None => return Err("--shards needs a value".into()),
-            },
-            "--shard-index" => match args.next().map(|v| v.parse::<u32>()) {
-                Some(Ok(n)) => o.shard_index = Some(n),
-                Some(Err(_)) => return Err("--shard-index needs an integer".into()),
-                None => return Err("--shard-index needs a value".into()),
-            },
-            "--shard-count" => match args.next().map(|v| v.parse::<u32>()) {
-                Some(Ok(n)) if n > 0 => o.shard_count = Some(n),
-                Some(_) => return Err("--shard-count needs a positive integer".into()),
-                None => return Err("--shard-count needs a value".into()),
-            },
-            "--ring-seed" => match args.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(s)) => o.ring_seed = s,
-                Some(Err(_)) => return Err("--ring-seed needs an unsigned integer".into()),
-                None => return Err("--ring-seed needs a value".into()),
-            },
             "--warm" => o.warm = true,
-            "--local-fallback" => o.local_fallback = true,
             "--help" | "-h" => o.help = true,
             other => return Err(format!("unknown argument {other}\n{USAGE}")),
         }
     }
-    let modes = [
-        o.shards.is_some(),
-        o.shard_index.is_some() || o.shard_count.is_some(),
-        o.route.is_some(),
-    ];
-    if modes.iter().filter(|&&m| m).count() > 1 {
-        return Err(
-            "--shards, --shard-index/--shard-count and --route are mutually exclusive".into(),
-        );
-    }
-    if o.shard_index.is_some() != o.shard_count.is_some() {
-        return Err("--shard-index and --shard-count must be given together".into());
-    }
-    if let (Some(i), Some(n)) = (o.shard_index, o.shard_count) {
-        if i >= n {
-            return Err(format!(
-                "--shard-index {i} out of range for --shard-count {n}"
-            ));
-        }
-    }
-    if o.peers.is_some() && o.shard_index.is_none() {
-        return Err("--peers only applies to --shard-index/--shard-count mode".into());
-    }
-    if o.local_fallback && o.route.is_none() {
-        return Err("--local-fallback only applies to --route mode".into());
-    }
-    if o.warm_bundle.is_some() && o.route.is_some() {
-        return Err("--warm-bundle does not apply to --route (the router owns no store)".into());
-    }
     Ok(o)
 }
 
-/// `--shards N`: in-process cluster — N shard daemons plus the router.
-fn run_cluster(opts: &Options, shards: u32) -> Result<(), String> {
-    let choice = SuiteChoice::parse(&opts.suite).map_err(|e| e.to_string())?;
-    let cluster = start_cluster(
-        choice,
-        &ClusterOptions {
-            shards,
-            seed: opts.ring_seed,
-            jobs: opts.jobs,
-            cache: opts.cache.clone(),
-            warm: opts.warm,
-            warm_bundle: opts.warm_bundle.clone(),
-            serve: opts.serve,
-            router_addr: opts.addr.clone(),
-        },
-    )
-    .map_err(|e| e.to_string())?;
-    for (i, addr) in cluster.shard_addrs().iter().enumerate() {
-        eprintln!("lowvcc-serve shard {i} listening on {addr}");
+fn run() -> Result<(), String> {
+    let opts = parse_args(std::env::args().skip(1))?;
+    if opts.help {
+        println!("{USAGE}");
+        return Ok(());
     }
-    // stdout carries only the front door, so port-scraping harnesses
-    // cannot pick up a shard by mistake.
-    println!("lowvcc-serve router listening on {}", cluster.router_addr());
-    eprintln!(
-        "cluster of {shards} shards (ring seed {}), {} jobs each; \
-         send {{\"experiment\":\"shutdown\"}} to the router to stop",
-        opts.ring_seed, opts.jobs,
-    );
-    cluster.join().map_err(|e| e.to_string())?;
-    eprintln!("shutdown requested; cluster exited cleanly");
-    Ok(())
-}
-
-/// `--route a,b,c`: standalone router over already-running shards.
-fn run_router(opts: &Options, route: &str) -> Result<(), String> {
-    let shards: Vec<String> = route
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(ToString::to_string)
-        .collect();
-    if shards.is_empty() {
-        return Err("--route needs at least one shard address".into());
-    }
-    // Only the spec identities are needed — no traces are generated
-    // (unless `--local-fallback` asks for a last-resort simulator).
-    let choice = SuiteChoice::parse(&opts.suite).map_err(|e| e.to_string())?;
-    let specs = choice.specs();
-    let ring = Ring::new(shards.len() as u32, opts.ring_seed);
-    let shard_count = shards.len();
-    let mut router = Router::new(
-        shards,
-        ring,
-        CoreConfig::silverthorne(),
-        CycleTimeModel::silverthorne_45nm(),
-        specs[0],
-    );
-    if opts.local_fallback {
-        eprintln!("building the local fallback context…");
-        let ctx = choice
-            .build()
-            .map_err(|e| e.to_string())?
-            .with_parallelism(Parallelism::threads(opts.jobs));
-        let store = match &opts.cache {
-            Some(dir) => ResultStore::open(dir).map_err(|e| e.to_string())?,
-            None => ResultStore::ephemeral(),
-        };
-        // Read-only against a shared cache: the shards own every slice.
-        let store = store.with_key_owner(Arc::new(|_| false));
-        router = router.with_local_fallback(Daemon::new(ctx.with_cache(Arc::new(store))));
-    }
-    let listener =
-        TcpListener::bind(&opts.addr).map_err(|e| format!("cannot bind {}: {e}", opts.addr))?;
-    let local = listener
-        .local_addr()
-        .map_err(|e| format!("no local address: {e}"))?;
-    println!("lowvcc-serve router listening on {local}");
-    eprintln!(
-        "routing over {shard_count} shards (ring seed {}); \
-         send {{\"experiment\":\"shutdown\"}} to stop the whole cluster",
-        opts.ring_seed,
-    );
-    router
-        .serve_with(&listener, opts.serve)
-        .map_err(|e| e.to_string())?;
-    eprintln!("shutdown requested; exiting cleanly");
-    Ok(())
-}
-
-/// Default mode (and `--shard-index I --shard-count N`): one daemon.
-fn run_daemon(opts: &Options) -> Result<(), String> {
     // Same grammar and degenerate-input rejections as `experiments`.
-    let mut ctx = SuiteChoice::parse(&opts.suite)
+    let ctx = SuiteChoice::parse(&opts.suite)
         .map_err(|e| e.to_string())?
         .build()
         .map_err(|e| e.to_string())?
         .with_parallelism(Parallelism::threads(opts.jobs));
-    let shard = opts
-        .shard_index
-        .zip(opts.shard_count)
-        .map(|(i, n)| (i, Ring::new(n, opts.ring_seed)));
-    let mut store = match &opts.cache {
+    let store = match &opts.cache {
         Some(dir) => ResultStore::open(dir).map_err(|e| e.to_string())?,
         None => ResultStore::ephemeral(),
     };
-    if let Some((index, ring)) = shard {
-        store = store.with_key_owner(Arc::new(move |key| ring.owns(index, key)));
-        if let Some(peers) = &opts.peers {
-            let list: Vec<String> = peers
-                .split(',')
-                .map(str::trim)
-                .filter(|s| !s.is_empty())
-                .map(ToString::to_string)
-                .collect();
-            if list.len() as u32 != ring.shards() {
-                return Err(format!(
-                    "--peers lists {} addresses but --shard-count is {}",
-                    list.len(),
-                    ring.shards()
-                ));
-            }
-            store = store.with_remote_fetch(read_through(ring, index, list, PEER_FETCH_TIMEOUT));
-        }
-    }
     if let Some(bundle) = &opts.warm_bundle {
         let report = store.import_bundle(bundle).map_err(|e| e.to_string())?;
         eprintln!(
@@ -344,22 +128,10 @@ fn run_daemon(opts: &Options) -> Result<(), String> {
             report.quarantined
         );
     }
-    ctx = ctx.with_cache(Arc::new(store));
-    let mut daemon = Daemon::new(ctx);
-    if let Some((index, ring)) = shard {
-        daemon = daemon.with_shard(index, ring.shards());
-    }
+    let daemon = Daemon::new(ctx.with_cache(Arc::new(store)));
     if opts.warm {
-        match shard {
-            Some((index, ring)) => {
-                eprintln!("warming this shard's slice of the sweep grid…");
-                daemon.warm_slice(&ring, index).map_err(|e| e.to_string())?;
-            }
-            None => {
-                eprintln!("warming the store (full sweep grid + Table 1 + stall study)…");
-                daemon.warm().map_err(|e| e.to_string())?;
-            }
-        }
+        eprintln!("warming the store (full sweep grid + Table 1 + stall study)…");
+        daemon.warm().map_err(|e| e.to_string())?;
         eprintln!("store warm");
     }
     let listener =
@@ -390,27 +162,99 @@ fn run_daemon(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn run() -> Result<(), String> {
-    let opts = parse_args(std::env::args().skip(1))?;
-    if opts.help {
-        println!("{USAGE}");
-        return Ok(());
-    }
-    if let Some(shards) = opts.shards {
-        run_cluster(&opts, shards)
-    } else if let Some(route) = opts.route.clone() {
-        run_router(&opts, &route)
-    } else {
-        run_daemon(&opts)
-    }
-}
-
 fn main() -> ExitCode {
     match run() {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("{msg}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        parse_args(args.iter().map(ToString::to_string))
+    }
+
+    #[test]
+    fn defaults() {
+        let o = parse(&[]).unwrap();
+        assert_eq!(o.suite, "quick");
+        assert_eq!(o.cache, None);
+        assert_eq!(o.jobs, Parallelism::available().count());
+        assert_eq!(o.serve, ServeOptions::default());
+        assert_eq!(o.addr, "127.0.0.1:0");
+        assert!(!o.warm);
+        assert_eq!(o.warm_bundle, None);
+        assert!(!o.help);
+    }
+
+    #[test]
+    fn every_flag_sets_its_option() {
+        let o = parse(&[
+            "--suite",
+            "1x5000",
+            "--cache",
+            "c",
+            "--jobs",
+            "3",
+            "--threads",
+            "2",
+            "--max-connections",
+            "9",
+            "--addr",
+            "127.0.0.1:7000",
+            "--warm",
+            "--warm-bundle",
+            "w.lvcb",
+            "--help",
+        ])
+        .unwrap();
+        assert_eq!(o.suite, "1x5000");
+        assert_eq!(o.cache, Some(PathBuf::from("c")));
+        assert_eq!(o.jobs, 3);
+        assert_eq!((o.serve.threads, o.serve.max_connections), (2, 9));
+        assert_eq!(o.addr, "127.0.0.1:7000");
+        assert!(o.warm && o.help);
+        assert_eq!(o.warm_bundle, Some(PathBuf::from("w.lvcb")));
+    }
+
+    #[test]
+    fn value_flags_without_a_value_are_rejected() {
+        for flag in [
+            "--suite",
+            "--cache",
+            "--addr",
+            "--warm-bundle",
+            "--jobs",
+            "--threads",
+            "--max-connections",
+        ] {
+            let err = parse(&[flag]).unwrap_err();
+            assert!(err.starts_with(flag), "{flag}: {err}");
+        }
+    }
+
+    #[test]
+    fn zero_workers_are_rejected() {
+        for flag in ["--jobs", "--threads", "--max-connections"] {
+            let err = parse(&[flag, "0"]).unwrap_err();
+            assert_eq!(err, format!("{flag} needs a positive integer"));
+        }
+    }
+
+    #[test]
+    fn fleet_flags_are_unknown_arguments() {
+        for args in [["--shards", "2"], ["--route", "a:1"], ["--peers", "a:1"]] {
+            let err = parse(&args).unwrap_err();
+            assert!(
+                err.starts_with(&format!("unknown argument {}\n{USAGE}", args[0])),
+                "{err}"
+            );
         }
     }
 }

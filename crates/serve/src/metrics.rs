@@ -12,9 +12,7 @@
 //!
 //! Histograms use **fixed power-of-two microsecond buckets** (bucket
 //! `i` counts latencies below `2^(i+1) µs`, the last bucket is
-//! unbounded), so two shards' histograms merge by element-wise
-//! addition — which is exactly how the router aggregates a cluster's
-//! `metrics` responses.
+//! unbounded).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -114,20 +112,6 @@ impl HistogramSnapshot {
         }
         None
     }
-
-    /// Element-wise merge (how the router aggregates shards).
-    #[must_use]
-    pub fn merged(&self, other: &Self) -> Self {
-        let mut buckets = self.buckets;
-        for (a, b) in buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        Self {
-            buckets,
-            count: self.count + other.count,
-            total_micros: self.total_micros + other.total_micros,
-        }
-    }
 }
 
 /// Request classes tracked by the per-op histograms.
@@ -149,16 +133,13 @@ pub enum Op {
     Stalls,
     /// `{"experiment": "shutdown"}`.
     Shutdown,
-    /// `{"experiment": "peer_get", "key": HEX}` — a peer shard's
-    /// read-through probe into this shard's local cache tiers.
-    PeerGet,
     /// Unparsable or unknown request lines.
     Invalid,
 }
 
 impl Op {
     /// Every op, in rendering order.
-    pub const ALL: [Op; 10] = [
+    pub const ALL: [Op; 9] = [
         Op::Ping,
         Op::Stats,
         Op::Metrics,
@@ -167,7 +148,6 @@ impl Op {
         Op::Table1,
         Op::Stalls,
         Op::Shutdown,
-        Op::PeerGet,
         Op::Invalid,
     ];
 
@@ -183,7 +163,6 @@ impl Op {
             Op::Table1 => "table1",
             Op::Stalls => "stalls",
             Op::Shutdown => "shutdown",
-            Op::PeerGet => "peer_get",
             Op::Invalid => "invalid",
         }
     }
@@ -198,8 +177,7 @@ impl Op {
             Op::Table1 => 5,
             Op::Stalls => 6,
             Op::Shutdown => 7,
-            Op::PeerGet => 8,
-            Op::Invalid => 9,
+            Op::Invalid => 8,
         }
     }
 }
@@ -283,80 +261,74 @@ impl Metrics {
         self.queue_peak.load(Ordering::Relaxed)
     }
 
-    /// Renders the body of a `metrics` response: shard identity (when
-    /// sharded), queue gauge, connection counters, the store's
-    /// hit-rate and health, and one histogram object per op.
+    /// Renders the body of a `metrics` response: queue gauge,
+    /// connection counters, the store's hit-rate and health, and one
+    /// histogram object per op.
     #[must_use]
-    pub fn to_json(&self, shard: Option<(u32, u32)>, store: &StoreStats) -> String {
-        let mut fields: Vec<(&str, String)> = vec![
-            ("ok", json::boolean(true)),
-            ("experiment", json::string("metrics")),
-        ];
-        if let Some((index, count)) = shard {
-            fields.push(("shard_index", index.to_string()));
-            fields.push(("shard_count", count.to_string()));
-        }
-        fields.push(("queue_depth", self.queue_depth().to_string()));
-        fields.push(("queue_peak", self.queue_peak().to_string()));
-        fields.push((
-            "idle_reaped",
-            self.idle_reaped.load(Ordering::Relaxed).to_string(),
-        ));
-        fields.push((
-            "connections",
-            json::object(&[
-                (
-                    "accepted",
-                    self.accepted.load(Ordering::Relaxed).to_string(),
-                ),
-                (
-                    "completed",
-                    self.completed.load(Ordering::Relaxed).to_string(),
-                ),
-                (
-                    "refused",
-                    self.refused_busy.load(Ordering::Relaxed).to_string(),
-                ),
-                (
-                    "errors",
-                    self.connection_errors.load(Ordering::Relaxed).to_string(),
-                ),
-                (
-                    "timeouts",
-                    self.timeouts.load(Ordering::Relaxed).to_string(),
-                ),
-                (
-                    "worker_panics",
-                    self.worker_panics.load(Ordering::Relaxed).to_string(),
-                ),
-                (
-                    "force_closed",
-                    self.force_closed.load(Ordering::Relaxed).to_string(),
-                ),
-                (
-                    "drain_refused",
-                    self.drain_refused.load(Ordering::Relaxed).to_string(),
-                ),
-            ]),
-        ));
-        fields.push(("store", store_json(store)));
+    pub fn to_json(&self, store: &StoreStats) -> String {
         let ceilings: Vec<String> = (0..LATENCY_BUCKETS)
             .map(|i| bucket_ceiling_us(i).map_or_else(|| "null".to_string(), |c| c.to_string()))
             .collect();
-        fields.push(("latency_bucket_ceilings_us", json::array(&ceilings)));
         let ops: Vec<String> = Op::ALL
             .iter()
             .map(|&op| op_json(op, &self.ops[op.index()].snapshot()))
             .collect();
-        fields.push(("ops", json::array(&ops)));
-        json::object(&fields)
+        json::object(&[
+            ("ok", json::boolean(true)),
+            ("experiment", json::string("metrics")),
+            ("queue_depth", self.queue_depth().to_string()),
+            ("queue_peak", self.queue_peak().to_string()),
+            (
+                "idle_reaped",
+                self.idle_reaped.load(Ordering::Relaxed).to_string(),
+            ),
+            (
+                "connections",
+                json::object(&[
+                    (
+                        "accepted",
+                        self.accepted.load(Ordering::Relaxed).to_string(),
+                    ),
+                    (
+                        "completed",
+                        self.completed.load(Ordering::Relaxed).to_string(),
+                    ),
+                    (
+                        "refused",
+                        self.refused_busy.load(Ordering::Relaxed).to_string(),
+                    ),
+                    (
+                        "errors",
+                        self.connection_errors.load(Ordering::Relaxed).to_string(),
+                    ),
+                    (
+                        "timeouts",
+                        self.timeouts.load(Ordering::Relaxed).to_string(),
+                    ),
+                    (
+                        "worker_panics",
+                        self.worker_panics.load(Ordering::Relaxed).to_string(),
+                    ),
+                    (
+                        "force_closed",
+                        self.force_closed.load(Ordering::Relaxed).to_string(),
+                    ),
+                    (
+                        "drain_refused",
+                        self.drain_refused.load(Ordering::Relaxed).to_string(),
+                    ),
+                ]),
+            ),
+            ("store", store_json(store)),
+            ("latency_bucket_ceilings_us", json::array(&ceilings)),
+            ("ops", json::array(&ops)),
+        ])
     }
 }
 
 /// Renders a store's traffic and health for the `metrics` response —
 /// the hit-rate is `null` until the store has seen any lookups.
-#[must_use]
-pub fn store_json(s: &StoreStats) -> String {
+fn store_json(s: &StoreStats) -> String {
     let total = s.hits + s.misses;
     let hit_rate = if total == 0 {
         f64::NAN // json::number renders non-finite as null
@@ -369,17 +341,13 @@ pub fn store_json(s: &StoreStats) -> String {
         ("hit_rate", json::number(hit_rate)),
         ("stores", s.stores.to_string()),
         ("coalesced", s.coalesced.to_string()),
-        ("foreign_puts", s.foreign_puts.to_string()),
-        ("peer_fetches", s.peer_fetches.to_string()),
-        ("peer_hits", s.peer_hits.to_string()),
         ("quarantined", s.quarantined.to_string()),
         ("degraded", json::boolean(s.degraded)),
     ])
 }
 
 /// Renders one op's histogram snapshot.
-#[must_use]
-pub fn op_json(op: Op, h: &HistogramSnapshot) -> String {
+fn op_json(op: Op, h: &HistogramSnapshot) -> String {
     let mean = if h.count == 0 {
         f64::NAN
     } else {
@@ -443,18 +411,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshots_merge_elementwise() {
-        let a = Histogram::default();
-        let b = Histogram::default();
-        a.record(Duration::from_micros(3));
-        b.record(Duration::from_micros(3));
-        b.record(Duration::from_millis(10));
-        let m = a.snapshot().merged(&b.snapshot());
-        assert_eq!(m.count, 3);
-        assert_eq!(m.buckets[1], 2);
-    }
-
-    #[test]
     fn queue_gauge_tracks_depth_and_peak() {
         let m = Metrics::new();
         m.job_enqueued();
@@ -477,9 +433,8 @@ mod tests {
             misses: 1,
             ..StoreStats::default()
         };
-        let body = m.to_json(Some((1, 2)), &stats);
+        let body = m.to_json(&stats);
         let v = json::parse(&body).expect("metrics response is valid JSON");
-        assert_eq!(v.get("shard_index").and_then(json::Value::as_u64), Some(1));
         let store = v.get("store").expect("store object");
         let rate = store.get("hit_rate").and_then(json::Value::as_f64);
         assert_eq!(rate, Some(0.75));
@@ -491,7 +446,7 @@ mod tests {
 
     #[test]
     fn empty_store_hit_rate_is_null() {
-        let body = Metrics::new().to_json(None, &StoreStats::default());
+        let body = Metrics::new().to_json(&StoreStats::default());
         let v = json::parse(&body).expect("valid JSON");
         assert!(v.get("shard_index").is_none());
         assert_eq!(
