@@ -8,7 +8,7 @@
 //! backs each claim with measured numbers at a chosen voltage.
 
 use lowvcc_core::{
-    run_suite_with, CoreConfig, Mechanism, Parallelism, SimConfig, SimError, SuiteResult,
+    run_suite_batch, CoreConfig, Mechanism, Parallelism, SimConfig, SimError, SuiteResult,
 };
 use lowvcc_energy::{ExtraBypassOverhead, FaultyBitsOverhead, IrawOverhead};
 use lowvcc_sram::{CycleTimeModel, Millivolts};
@@ -194,7 +194,8 @@ pub fn rows_from_results(configs: &[TechniqueConfig], suites: &[SuiteResult]) ->
         .collect()
 }
 
-/// Measures every technique at `vcc` over `traces`.
+/// Measures every technique at `vcc` over `traces`, as one sequential
+/// batch: each trace is decoded once and every technique replays it.
 ///
 /// Rows: write-limited baseline (reference), realistic Faulty Bits
 /// (caches only), hypothetical all-block Faulty Bits at 4σ, realistic
@@ -210,27 +211,9 @@ pub fn quantitative_table(
     vcc: Millivolts,
     traces: &[Trace],
 ) -> Result<Vec<QuantRow>, SimError> {
-    quantitative_table_with(core, timing, vcc, traces, Parallelism::sequential())
-}
-
-/// [`quantitative_table`], with each technique's suite fanned out across
-/// `par` worker threads. Output is identical for any `par`.
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn quantitative_table_with(
-    core: CoreConfig,
-    timing: &CycleTimeModel,
-    vcc: Millivolts,
-    traces: &[Trace],
-    par: Parallelism,
-) -> Result<Vec<QuantRow>, SimError> {
     let configs = technique_configs(core, timing, vcc);
-    let mut suites = Vec::with_capacity(configs.len());
-    for tc in &configs {
-        suites.push(run_suite_with(&tc.cfg, traces, par)?);
-    }
+    let cfgs: Vec<SimConfig> = configs.iter().map(|tc| tc.cfg.clone()).collect();
+    let suites = run_suite_batch(&cfgs, traces, Parallelism::sequential())?;
     Ok(rows_from_results(&configs, &suites))
 }
 

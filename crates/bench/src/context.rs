@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use lowvcc_core::{
-    run_batch_groups, run_suite_with, sim_key, speedup, CoreConfig, MechanismComparison,
+    run_batch_groups, run_suite_batch, sim_key, speedup, CoreConfig, MechanismComparison,
     Parallelism, SimConfig, SimResult, SuiteResult,
 };
 
@@ -179,7 +179,7 @@ impl ExperimentContext {
         self
     }
 
-    /// Tiny suite (7 traces × 10k uops) — for tests and criterion benches.
+    /// Tiny suite (7 traces × 10k uops) — for tests and smoke runs.
     ///
     /// # Errors
     ///
@@ -228,11 +228,21 @@ impl ExperimentContext {
         self.suite.iter().map(Trace::len).sum()
     }
 
-    /// Runs `cfg` over the whole suite, answering from the cache where
-    /// possible and simulating only the misses (which are then stored).
-    /// Output is bit-identical to an uncached [`run_suite_with`] for the
-    /// same inputs — the determinism guarantee of DESIGN.md §6 is what
-    /// makes keyed reuse sound.
+    /// Runs every configuration over the whole suite, batched per trace:
+    /// each trace is decoded once and all of `cfgs` replay it back to
+    /// back through a reused engine workspace. Returns one
+    /// [`SuiteResult`] per configuration, in `cfgs` order —
+    /// byte-identical to a fresh simulator per (config, trace) pair (the
+    /// `batch_vs_perpoint` suite asserts it).
+    ///
+    /// With a cache, every (config, trace) key is answered from the store
+    /// where possible and only the misses are simulated (and then
+    /// stored). Output is bit-identical to the uncached run — the
+    /// determinism guarantee of DESIGN.md §6 is what makes keyed reuse
+    /// sound. Misses are batched **per trace**: one round groups every
+    /// missing configuration of a trace behind a single decode, so a cold
+    /// 13-point sweep decodes each trace once rather than once per
+    /// (config, trace) pair.
     ///
     /// Misses go through the store's **single-flight** layer: this call
     /// simulates only the keys it claims leadership of (as one parallel
@@ -255,92 +265,13 @@ impl ExperimentContext {
     /// Panics when a cache is configured and `specs` has drifted out of
     /// alignment with `suite` (both are public fields; keep them
     /// index-aligned).
-    pub fn run_suite(&self, cfg: &SimConfig) -> Result<SuiteResult, ExperimentError> {
+    pub fn run_suite_batch(&self, cfgs: &[SimConfig]) -> Result<Vec<SuiteResult>, ExperimentError> {
         let Some(store) = &self.cache else {
-            return Ok(run_suite_with(cfg, &self.suite, self.parallelism)?);
+            return Ok(run_suite_batch(cfgs, &self.suite, self.parallelism)?);
         };
         // Hard assert, not debug: both fields are public, and a silent
         // zip truncation here would make the cached path drop the tail
         // of a misaligned suite — cache on/off changing results.
-        assert_eq!(
-            self.specs.len(),
-            self.suite.len(),
-            "ExperimentContext.specs must stay index-aligned with .suite"
-        );
-        let mut slots: Vec<Option<(String, SimResult)>> = self.suite.iter().map(|_| None).collect();
-        let mut unresolved: Vec<usize> = (0..self.suite.len()).collect();
-        while !unresolved.is_empty() {
-            let mut leaders: Vec<(usize, FlightGuard<'_>)> = Vec::new();
-            let mut pending: Vec<(usize, FlightWaiter)> = Vec::new();
-            for &i in &unresolved {
-                match store.lookup(sim_key(cfg, &self.specs[i])) {
-                    Flight::Hit(result) => slots[i] = Some((self.suite[i].name.clone(), *result)),
-                    Flight::Lead(guard) => leaders.push((i, guard)),
-                    Flight::Pending(waiter) => pending.push((i, waiter)),
-                }
-            }
-            if !leaders.is_empty() {
-                let refs: Vec<&Trace> = leaders.iter().map(|&(i, _)| &self.suite[i]).collect();
-                store.note_simulated_uops(refs.iter().map(|t| t.len() as u64).sum());
-                // On error the guards drop unpublished, waking every
-                // waiter to re-arbitrate; the error propagates here.
-                let fresh = run_suite_with(cfg, &refs, self.parallelism)?;
-                for ((i, guard), (name, result)) in leaders.into_iter().zip(fresh.per_trace) {
-                    store.put(sim_key(cfg, &self.specs[i]), &result);
-                    drop(guard); // publish: retires the flight, wakes waiters
-                    slots[i] = Some((name, result));
-                }
-            }
-            // A retired flight either published (next round hits) or was
-            // abandoned by an erroring leader (next round claims it).
-            unresolved = pending
-                .into_iter()
-                .map(|(i, waiter)| {
-                    waiter.wait();
-                    i
-                })
-                .collect();
-        }
-        Ok(SuiteResult {
-            per_trace: slots
-                .into_iter()
-                .map(|s| s.expect("every slot filled"))
-                .collect(),
-        })
-    }
-
-    /// Runs every configuration over the whole suite, batched per trace:
-    /// each trace is decoded once and all of `cfgs` replay it back to
-    /// back through a reused engine workspace. Returns one
-    /// [`SuiteResult`] per configuration, in `cfgs` order —
-    /// byte-identical to calling [`Self::run_suite`] once per
-    /// configuration (the `batch_vs_perpoint` suite asserts it).
-    ///
-    /// With a cache, store misses are batched **per trace** instead of
-    /// per key: one round groups every missing configuration of a trace
-    /// behind a single decode, so a cold 13-point sweep decodes each
-    /// trace once rather than once per (config, trace) pair. Hits,
-    /// single-flight leadership and waiting behave exactly as in
-    /// [`Self::run_suite`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation failures (the cache never errors a run —
-    /// see [`Self::run_suite`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when a cache is configured and `specs` has drifted out of
-    /// alignment with `suite` (both are public fields; keep them
-    /// index-aligned).
-    pub fn run_suite_batch(&self, cfgs: &[SimConfig]) -> Result<Vec<SuiteResult>, ExperimentError> {
-        let Some(store) = &self.cache else {
-            return Ok(lowvcc_core::run_suite_batch(
-                cfgs,
-                &self.suite,
-                self.parallelism,
-            )?);
-        };
         assert_eq!(
             self.specs.len(),
             self.suite.len(),
@@ -470,14 +401,19 @@ mod tests {
     #[test]
     fn cached_suite_runs_match_uncached_bit_for_bit() {
         let ctx = ExperimentContext::sized(1, 3_000).unwrap();
-        let cfg = SimConfig::at_vcc(ctx.core, &ctx.timing, mv(500), Mechanism::Iraw);
-        let uncached = ctx.run_suite(&cfg).unwrap();
+        let cfgs = [SimConfig::at_vcc(
+            ctx.core,
+            &ctx.timing,
+            mv(500),
+            Mechanism::Iraw,
+        )];
+        let uncached = ctx.run_suite_batch(&cfgs).unwrap();
 
         let store = Arc::new(ResultStore::ephemeral());
         let ctx = ctx.with_cache(Arc::clone(&store));
-        let cold = ctx.run_suite(&cfg).unwrap();
+        let cold = ctx.run_suite_batch(&cfgs).unwrap();
         assert_eq!(store.stats().misses, 7, "cold run simulates everything");
-        let warm = ctx.run_suite(&cfg).unwrap();
+        let warm = ctx.run_suite_batch(&cfgs).unwrap();
         assert_eq!(store.stats().misses, 7, "warm run simulates nothing");
         assert_eq!(store.stats().hits, 7);
         assert_eq!(uncached, cold);
@@ -487,12 +423,19 @@ mod tests {
     #[test]
     fn concurrent_identical_runs_simulate_each_key_once() {
         let ctx = ExperimentContext::sized(1, 3_000).unwrap();
-        let cfg = SimConfig::at_vcc(ctx.core, &ctx.timing, mv(500), Mechanism::Iraw);
-        let sequential = ctx.run_suite(&cfg).unwrap();
+        let cfgs = [SimConfig::at_vcc(
+            ctx.core,
+            &ctx.timing,
+            mv(500),
+            Mechanism::Iraw,
+        )];
+        let sequential = ctx.run_suite_batch(&cfgs).unwrap();
         let store = Arc::new(ResultStore::ephemeral());
         let ctx = ctx.with_cache(Arc::clone(&store));
-        let results: Vec<SuiteResult> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..4).map(|_| s.spawn(|| ctx.run_suite(&cfg))).collect();
+        let results: Vec<Vec<SuiteResult>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| s.spawn(|| ctx.run_suite_batch(&cfgs)))
+                .collect();
             handles
                 .into_iter()
                 .map(|h| h.join().unwrap().unwrap())
@@ -518,7 +461,10 @@ mod tests {
                 [base, iraw]
             })
             .collect();
-        let per_cfg: Vec<SuiteResult> = cfgs.iter().map(|c| ctx.run_suite(c).unwrap()).collect();
+        let per_cfg: Vec<SuiteResult> = cfgs
+            .iter()
+            .flat_map(|c| ctx.run_suite_batch(std::slice::from_ref(c)).unwrap())
+            .collect();
         let uncached = ctx.run_suite_batch(&cfgs).unwrap();
         assert_eq!(per_cfg, uncached);
 

@@ -64,8 +64,10 @@ pub fn measure_at(
     let mut free_cfg = iraw_cfg.clone();
     free_cfg.stabilization_cycles = 0;
 
-    let iraw = ctx.run_suite(&iraw_cfg)?;
-    let free = ctx.run_suite(&free_cfg)?;
+    // One two-config batch: each trace is decoded once for both runs.
+    let mut suites = ctx.run_suite_batch(&[iraw_cfg, free_cfg])?;
+    let free = suites.pop().expect("two configs in, two suites out");
+    let iraw = suites.pop().expect("two configs in, two suites out");
     let total_degradation = iraw.total_seconds() / free.total_seconds() - 1.0;
 
     let mut rf = 0u64;

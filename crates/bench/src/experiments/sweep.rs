@@ -1,7 +1,7 @@
 //! The Vcc sweep behind Figures 11b and 12: baseline vs IRAW simulation at
 //! every voltage, with the energy model applied on top. Every measurement
-//! goes through [`ExperimentContext::run_suite`]'s result cache when one
-//! is configured, so a warm sweep performs zero simulations.
+//! goes through [`ExperimentContext::run_suite_batch`]'s result cache
+//! when one is configured, so a warm sweep performs zero simulations.
 
 use lowvcc_core::{speedup, MechanismComparison, SimConfig, SuiteResult};
 use lowvcc_energy::{EdpPoint, IrawOverhead};
@@ -127,9 +127,9 @@ pub fn point_from(ctx: &ExperimentContext, cmp: &MechanismComparison) -> SweepPo
 /// one batched pass: all 26 configurations (13 voltages × 2 mechanisms)
 /// go through [`ExperimentContext::run_suite_batch`], so every trace is
 /// decoded once for the whole grid and each worker's engine workspace is
-/// reused across all sweep points. Byte-identical to the legacy
-/// [`run_sweep_per_point`] for any worker count — the `batch_vs_perpoint`
-/// suite asserts it.
+/// reused across all sweep points. Byte-identical to a fresh simulator
+/// per (config, trace) pair for any worker count — the
+/// `batch_vs_perpoint` suite asserts it.
 ///
 /// # Errors
 ///
@@ -159,18 +159,6 @@ pub fn run_sweep(ctx: &ExperimentContext) -> Result<Vec<SweepPoint>, ExperimentE
             Ok(point_from(ctx, &cmp))
         })
         .collect()
-}
-
-/// The legacy per-point sweep: one [`point`] call (two suite runs) per
-/// voltage. Kept as the equivalence reference for the batched
-/// [`run_sweep`], and for callers that want per-voltage incremental
-/// progress over raw throughput.
-///
-/// # Errors
-///
-/// Propagates simulation and cache failures.
-pub fn run_sweep_per_point(ctx: &ExperimentContext) -> Result<Vec<SweepPoint>, ExperimentError> {
-    PAPER_SWEEP.iter().map(|vcc| point(ctx, vcc)).collect()
 }
 
 /// Renders one sweep point as a JSON object — shared by the `--json`

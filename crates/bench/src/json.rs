@@ -70,8 +70,8 @@ pub fn boolean(b: bool) -> String {
 }
 
 /// Renders a parsed [`Value`] back to the same canonical one-line form
-/// the emitters above produce (round-trips with [`parse`]) — how the
-/// perf-trajectory appender rewrites a document's existing entries.
+/// the emitters above produce (round-trips with [`parse`]), so a parsed
+/// document can be re-emitted byte for byte.
 #[must_use]
 pub fn render(v: &Value) -> String {
     match v {

@@ -3,7 +3,8 @@
 //!
 //! Each experiment module produces plain data rows plus formatted text
 //! tables and CSV files, so the same code backs the `experiments` binary,
-//! the integration tests and the criterion benches. The experiment IDs
+//! the `lowvcc-serve` daemon, the integration tests and the standalone
+//! `perfbench` benchmark. The experiment IDs
 //! match DESIGN.md §4:
 //!
 //! | ID | module | paper artefact |
@@ -31,7 +32,6 @@ pub mod lockdep;
 pub mod report;
 pub mod store;
 pub mod store_io;
-pub mod trajectory;
 
 pub use admin::{
     BundleExportReport, BundleImportReport, QuarantineEntry, ScrubReport, StoreSummary,
@@ -46,4 +46,3 @@ pub use store::{
     Flight, FlightGuard, FlightWaiter, ResultStore, StoreError, StoreStats, QUARANTINE_DIR,
 };
 pub use store_io::{FaultCounts, FaultKind, FaultPlan, FaultyIo, RealIo, RetryPolicy, StoreIo};
-pub use trajectory::{FamilyThroughput, TrajectoryEntry, TrajectoryFormatError, TRAJECTORY_SCHEMA};

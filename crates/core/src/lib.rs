@@ -54,7 +54,7 @@ pub use error::{ConfigError, SimError};
 pub use iraw::{IrawController, IrawSettings};
 pub use perf::{
     compare_mechanisms, compare_mechanisms_with, run_batch_groups, run_suite, run_suite_batch,
-    run_suite_with, speedup, MechanismComparison, Parallelism, Speedup, SuiteResult,
+    speedup, MechanismComparison, Parallelism, Speedup, SuiteResult,
 };
 pub use sim::Simulator;
 pub use stats::{BranchStats, SimResult, SimStats, StallBreakdown};

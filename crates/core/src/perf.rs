@@ -2,11 +2,13 @@
 //! Figure 11b's "performance gains" series).
 //!
 //! Suites are embarrassingly parallel — every (config, trace) pair is an
-//! independent, deterministic simulation — so [`run_suite_with`] fans the
-//! work items out over a [`Parallelism`]-sized pool of scoped threads.
-//! Results are reassembled in suite order, making the output byte-
-//! identical for any thread count (including errors: the reported error
-//! is the first in suite order, not the first in wall-clock order).
+//! independent, deterministic simulation — so [`run_batch_groups`] fans
+//! one work item per trace out over a [`Parallelism`]-sized pool of
+//! scoped threads, each replaying all of that trace's configurations
+//! behind a single decode. Results are reassembled in suite order,
+//! making the output byte-identical for any thread count (including
+//! errors: the reported error is the first in suite order, not the first
+//! in wall-clock order).
 
 use std::borrow::Borrow;
 use std::num::NonZeroUsize;
@@ -18,7 +20,6 @@ use lowvcc_trace::{Trace, TraceArena};
 use crate::batch::{run_batch, EngineWorkspace};
 use crate::config::{CoreConfig, SimConfig};
 use crate::error::SimError;
-use crate::sim::Simulator;
 use crate::stats::SimResult;
 
 /// Worker-thread count for suite execution.
@@ -124,97 +125,22 @@ pub struct Speedup {
     pub geomean: f64,
 }
 
-/// Runs `cfg` over every trace in the calling thread.
+/// Runs `cfg` over every trace in the calling thread: a one-config
+/// [`run_suite_batch`], for callers that measure a single design.
 ///
 /// # Errors
 ///
 /// Propagates the first simulation error.
 pub fn run_suite(cfg: &SimConfig, traces: &[Trace]) -> Result<SuiteResult, SimError> {
-    run_suite_with(cfg, traces, Parallelism::sequential())
-}
-
-/// Runs `cfg` over every trace, fanning out across `par` scoped worker
-/// threads. Deterministic: the result (including which error is
-/// reported) is identical for any `par`.
-///
-/// Generic over [`Borrow<Trace>`] so callers can pass owned traces
-/// (`&[Trace]`) or a borrowed subset (`&[&Trace]`) — the result cache
-/// uses the latter to simulate only the suite's cache misses without
-/// cloning multi-megabyte traces.
-///
-/// # Errors
-///
-/// Propagates the suite-order-first simulation error.
-pub fn run_suite_with<T: Borrow<Trace> + Sync>(
-    cfg: &SimConfig,
-    traces: &[T],
-    par: Parallelism,
-) -> Result<SuiteResult, SimError> {
-    let sim = Simulator::new(cfg.clone())?;
-    let workers = par.count().min(traces.len());
-    if workers <= 1 {
-        let mut per_trace = Vec::with_capacity(traces.len());
-        for t in traces {
-            let t = t.borrow();
-            let r = sim.run(t)?;
-            per_trace.push((t.name.clone(), r));
-        }
-        return Ok(SuiteResult { per_trace });
-    }
-    // Work-stealing over the trace list: each worker claims the next
-    // unclaimed index and tags its results with it, so the merged output
-    // is reassembled in suite order regardless of completion order.
-    // `first_err` lets workers stop claiming traces *after* a known
-    // failure — indices below it always complete, so the suite-order
-    // error choice stays deterministic while the tail is cancelled.
-    let next = AtomicUsize::new(0);
-    let first_err = AtomicUsize::new(usize::MAX);
-    let mut tagged: Vec<(usize, Result<SimResult, SimError>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    // Sized once up front: work stealing puts no bound
-                    // below the full suite on one worker's claims, so
-                    // anything smaller can re-grow mid-sweep.
-                    let mut out = Vec::with_capacity(traces.len());
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(t) = traces.get(i) else {
-                            break;
-                        };
-                        if i > first_err.load(Ordering::Relaxed) {
-                            // Claims are monotone per worker: everything
-                            // this worker would claim next is even later.
-                            break;
-                        }
-                        let r = sim.run(t.borrow());
-                        if r.is_err() {
-                            first_err.fetch_min(i, Ordering::Relaxed);
-                        }
-                        out.push((i, r));
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("suite worker panicked"))
-            .collect()
-    });
-    tagged.sort_unstable_by_key(|&(i, _)| i);
-    let mut per_trace = Vec::with_capacity(traces.len());
-    for (i, r) in tagged {
-        per_trace.push((traces[i].borrow().name.clone(), r?));
-    }
-    Ok(SuiteResult { per_trace })
+    let mut suites = run_suite_batch(std::slice::from_ref(cfg), traces, Parallelism::sequential())?;
+    Ok(suites.pop().expect("one config in, one suite out"))
 }
 
 /// Runs each group's configurations over its trace, decoding every trace
-/// once and reusing one [`EngineWorkspace`] per worker — the batched
-/// counterpart of [`run_suite_with`], parallelised over *groups* (one
-/// per trace) instead of (config, trace) pairs so a decoded arena stays
-/// hot in cache across all of its sweep points.
+/// once and reusing one [`EngineWorkspace`] per worker — the one suite
+/// runner every other entry point builds on. Work is parallelised over
+/// *groups* (one per trace) instead of (config, trace) pairs so a
+/// decoded arena stays hot in cache across all of its sweep points.
 ///
 /// `groups` pairs an index into `traces` with the configurations to run
 /// on it. Results come back in group order, each `Vec` in config order.
@@ -239,10 +165,12 @@ pub fn run_batch_groups<T: Borrow<Trace> + Sync>(
         }
         return Ok(out);
     }
-    // The same work-stealing discipline as `run_suite_with`, one claim
-    // per group: workers stop claiming past a known failure, so the
-    // group-order error choice stays deterministic while the tail is
-    // cancelled.
+    // Work-stealing over the group list: each worker claims the next
+    // unclaimed index and tags its results with it, so the merged output
+    // is reassembled in group order regardless of completion order.
+    // `first_err` lets workers stop claiming groups *after* a known
+    // failure — indices below it always complete, so the group-order
+    // error choice stays deterministic while the tail is cancelled.
     let next = AtomicUsize::new(0);
     let first_err = AtomicUsize::new(usize::MAX);
     let mut tagged: Vec<(usize, Result<Vec<SimResult>, SimError>)> = std::thread::scope(|scope| {
@@ -286,8 +214,9 @@ pub fn run_batch_groups<T: Borrow<Trace> + Sync>(
 /// Runs every configuration over every trace, batched per trace: each
 /// trace is decoded once and all of `cfgs` replay it back to back
 /// before the next trace is touched. Returns one [`SuiteResult`] per
-/// configuration, in `cfgs` order — byte-identical to calling
-/// [`run_suite_with`] once per configuration, for any `par`.
+/// configuration, in `cfgs` order — byte-identical to a fresh
+/// [`Simulator`](crate::Simulator) per (config, trace) pair, for any
+/// `par`.
 ///
 /// # Errors
 ///
@@ -400,6 +329,7 @@ pub fn compare_mechanisms_with(
 mod tests {
     use super::*;
     use crate::config::Mechanism;
+    use crate::sim::Simulator;
     use lowvcc_sram::voltage::mv;
     use lowvcc_trace::{TraceSpec, WorkloadFamily};
 
@@ -474,9 +404,10 @@ mod tests {
             Mechanism::Iraw,
         );
         let traces = small_suite();
-        let sequential = run_suite_with(&cfg, &traces, Parallelism::sequential()).unwrap();
+        let cfgs = [cfg];
+        let sequential = run_suite_batch(&cfgs, &traces, Parallelism::sequential()).unwrap();
         for workers in [2, 3, 8] {
-            let parallel = run_suite_with(&cfg, &traces, Parallelism::threads(workers)).unwrap();
+            let parallel = run_suite_batch(&cfgs, &traces, Parallelism::threads(workers)).unwrap();
             assert_eq!(sequential, parallel, "{workers} workers");
         }
     }
@@ -493,9 +424,18 @@ mod tests {
             })
             .collect();
         let traces = small_suite();
+        // Strictly per point: a fresh simulator per (config, trace).
         let per_point: Vec<SuiteResult> = cfgs
             .iter()
-            .map(|cfg| run_suite(cfg, &traces).unwrap())
+            .map(|cfg| {
+                let sim = Simulator::new(cfg.clone()).unwrap();
+                SuiteResult {
+                    per_trace: traces
+                        .iter()
+                        .map(|t| (t.name.clone(), sim.run(t).unwrap()))
+                        .collect(),
+                }
+            })
             .collect();
         for workers in [1, 2, 5] {
             let batched = run_suite_batch(&cfgs, &traces, Parallelism::threads(workers)).unwrap();

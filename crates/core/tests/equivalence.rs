@@ -5,17 +5,19 @@
 //! ([`Simulator::run_naive`]) — not approximately: every counter, every
 //! stall attribution, every cache statistic. These tests sweep the full
 //! mechanism × workload-family matrix over several supply voltages, plus
-//! the Extra Bypass / Faulty Bits baseline shapes the engine also serves.
+//! the Extra Bypass / Faulty Bits baseline shapes the engine also serves,
+//! and two hand-built shapes (a divide chain, a memory stream) where the
+//! event-driven cycle skipping dominates.
 //!
 //! With `debug_assertions` enabled (the default test profile, and the
 //! release CI job that sets `RUSTFLAGS="-C debug-assertions"`), the fast
 //! path additionally replays every skipped stretch against a cloned
 //! naive engine internally, so a divergence fails twice over.
 
-use lowvcc_core::{run_suite_with, CoreConfig, Mechanism, Parallelism, SimConfig, Simulator};
+use lowvcc_core::{run_suite_batch, CoreConfig, Mechanism, Parallelism, SimConfig, Simulator};
 use lowvcc_sram::voltage::mv;
 use lowvcc_sram::CycleTimeModel;
-use lowvcc_trace::{TraceSpec, WorkloadFamily};
+use lowvcc_trace::{Reg, Trace, TraceSpec, Uop, UopKind, WorkloadFamily};
 
 fn sim(mechanism: Mechanism, vcc: u32) -> Simulator {
     let cfg = SimConfig::at_vcc(
@@ -94,6 +96,67 @@ fn fast_path_equals_naive_with_faulty_lines() {
     assert_eq!(fast.stats, naive.stats);
 }
 
+const SKIP_SHAPE_LEN: usize = 4_000;
+
+/// Dependent divide clusters: long structural/data stalls the
+/// cycle-skipping fast path jumps over.
+fn div_chain_trace(n: usize) -> Trace {
+    let reg = |i: u8| Reg::new(i).expect("in range");
+    let mut uops = Vec::with_capacity(n);
+    while uops.len() < n {
+        let i = uops.len();
+        let d = reg((16 + (i % 8)) as u8);
+        let mut div = Uop::alu(0x40_0000 + (i as u64 % 16) * 4, Some(d), Some(reg(0)), None);
+        div.kind = UopKind::IntDiv;
+        uops.push(div);
+        uops.push(Uop::alu(0x40_0040, Some(reg(40)), Some(d), None));
+        uops.push(Uop::alu(0x40_0044, Some(reg(41)), Some(reg(40)), None));
+    }
+    uops.truncate(n);
+    Trace::new("div_chain", uops)
+}
+
+/// Strided loads over a 16 MB footprint: every access misses the DL0 and
+/// most miss the UL1 — the memory-bound shape that dominates paper-scale
+/// suites at the fast (IRAW) clock.
+fn mem_stream_trace(n: usize) -> Trace {
+    let reg = |i: u8| Reg::new(i).expect("in range");
+    let mut uops = Vec::with_capacity(n);
+    while uops.len() < n {
+        let i = (uops.len() / 2) as u64;
+        let addr = 0x100_0000 + i * 72 % (1 << 24);
+        uops.push(Uop::load(0x40_0000 + (i % 16) * 4, reg(20), None, addr, 8));
+        uops.push(Uop::alu(0x40_0040, Some(reg(21)), Some(reg(20)), None));
+    }
+    uops.truncate(n);
+    Trace::new("mem_stream", uops)
+}
+
+#[test]
+fn fast_path_equals_naive_on_skip_dominated_shapes() {
+    for trace in [
+        div_chain_trace(SKIP_SHAPE_LEN),
+        mem_stream_trace(SKIP_SHAPE_LEN),
+    ] {
+        for mech in [Mechanism::Baseline, Mechanism::Iraw] {
+            let s = sim(mech, 500);
+            let fast = s.run(&trace).expect("fast path completes");
+            let naive = s.run_naive(&trace).expect("naive stepper completes");
+            assert_eq!(
+                fast.stats.instructions, SKIP_SHAPE_LEN as u64,
+                "{} under {mech:?} commits every uop",
+                trace.name
+            );
+            assert_eq!(
+                fast.stats, naive.stats,
+                "stats diverged: {mech:?} on {}",
+                trace.name
+            );
+            assert_eq!(fast.cycle_time, naive.cycle_time);
+        }
+    }
+}
+
 #[test]
 fn parallel_suite_results_are_byte_identical_for_any_worker_count() {
     let traces: Vec<_> = WorkloadFamily::all()
@@ -112,11 +175,12 @@ fn parallel_suite_results_are_byte_identical_for_any_worker_count() {
             mv(500),
             mech,
         );
+        let cfgs = [cfg];
         let sequential =
-            run_suite_with(&cfg, &traces, Parallelism::sequential()).expect("suite runs");
+            run_suite_batch(&cfgs, &traces, Parallelism::sequential()).expect("suite runs");
         for workers in [2usize, 5, 16] {
             let parallel =
-                run_suite_with(&cfg, &traces, Parallelism::threads(workers)).expect("suite runs");
+                run_suite_batch(&cfgs, &traces, Parallelism::threads(workers)).expect("suite runs");
             // Full structural equality: names, order, every statistic.
             assert_eq!(sequential, parallel, "{mech:?} with {workers} workers");
         }

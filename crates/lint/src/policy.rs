@@ -9,9 +9,8 @@
 //!   store's keyed maps, serve's connection registry in `conn.rs`) may
 //!   hash freely: it never iterates into an output.
 //! * **Determinism** (`no-wallclock`) binds everything *except* the
-//!   three whitelisted timing modules: the perf trajectory recorder,
-//!   the serve crate (socket timeouts and drain deadlines), and the
-//!   store admin's atime-based LRU.
+//!   two whitelisted timing modules: the serve crate (socket timeouts
+//!   and drain deadlines) and the store admin's atime-based LRU.
 //! * **Panic-freedom** (`no-panic`) binds the serve crate and the
 //!   result-store hot path (`store.rs`, `store_io.rs`): a daemon and
 //!   its cache must degrade, never die.
@@ -69,9 +68,8 @@ pub fn policy_for(rel: &str) -> Option<Policy> {
         || rel.starts_with("crates/baselines/src/")
         || rel.starts_with("crates/bench/src/experiments");
 
-    let wallclock_whitelisted = rel.starts_with("crates/serve/src/")
-        || rel == "crates/bench/src/trajectory.rs"
-        || rel == "crates/bench/src/admin.rs";
+    let wallclock_whitelisted =
+        rel.starts_with("crates/serve/src/") || rel == "crates/bench/src/admin.rs";
 
     let no_panic = rel.starts_with("crates/serve/src/")
         || rel == "crates/bench/src/store.rs"
@@ -113,10 +111,10 @@ mod tests {
         let store = policy_for("crates/bench/src/store.rs").unwrap();
         assert!(store.no_panic && !store.no_std_hash);
 
-        let traj = policy_for("crates/bench/src/trajectory.rs").unwrap();
+        let admin = policy_for("crates/bench/src/admin.rs").unwrap();
         assert!(
-            !traj.no_wallclock,
-            "trajectory is a whitelisted timing module"
+            !admin.no_wallclock,
+            "the store admin is a whitelisted timing module"
         );
 
         let exp = policy_for("crates/bench/src/experiments/mod.rs").unwrap();
