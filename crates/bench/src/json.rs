@@ -440,10 +440,15 @@ impl<'a> Parser<'a> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII");
-        text.parse::<f64>().map(Value::Num).map_err(|_| JsonError {
-            offset: start,
-            reason: "number out of range",
-        })
+        // An exponent past f64's range parses to infinity, which JSON
+        // cannot represent (it would render back as `null`).
+        match text.parse::<f64>() {
+            Ok(x) if x.is_finite() => Ok(Value::Num(x)),
+            _ => Err(JsonError {
+                offset: start,
+                reason: "number out of range",
+            }),
+        }
     }
 }
 
@@ -546,6 +551,8 @@ mod tests {
             "[1] []",
             "'single'",
             "{\"a\"}",
+            "1e999",
+            "-2.5e+700",
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }

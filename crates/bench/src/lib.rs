@@ -28,7 +28,6 @@ pub mod context;
 pub mod error;
 pub mod experiments;
 pub mod json;
-pub mod lockdep;
 pub mod report;
 pub mod store;
 pub mod store_io;
@@ -40,7 +39,6 @@ pub use admin::{
 pub use bundle::{BundleRecord, BUNDLE_FORMAT_VERSION, BUNDLE_MAGIC};
 pub use context::{ExperimentContext, SuiteChoice, SuiteSpecError};
 pub use error::ExperimentError;
-pub use lockdep::{OrderedCondvar, OrderedGuard, OrderedMutex};
 pub use report::TextTable;
 pub use store::{
     Flight, FlightGuard, FlightWaiter, ResultStore, StoreError, StoreStats, QUARANTINE_DIR,

@@ -50,12 +50,11 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use lowvcc_core::canon::fnv1a_64;
 use lowvcc_core::{decode_sim_result, encode_sim_result, CanonError, SimKey, SimResult};
 
-use crate::lockdep::{OrderedCondvar, OrderedMutex};
 use crate::store_io::{RealIo, RetryPolicy, StoreIo};
 
 /// Name of the sibling directory quarantined records are moved into.
@@ -156,11 +155,12 @@ thread_local! {
 
 /// One in-flight simulation. Waiters block on `cv` until the leader
 /// flips `done` — which its [`FlightGuard`] does on drop, so even a
-/// panicking or erroring leader wakes everyone.
-#[derive(Debug)]
+/// panicking or erroring leader wakes everyone. `done` is never taken
+/// while the store's `tiers` lock is held.
+#[derive(Debug, Default)]
 struct FlightState {
-    done: OrderedMutex<bool>,
-    cv: OrderedCondvar,
+    done: Mutex<bool>,
+    cv: Condvar,
 }
 
 /// Leadership of one in-flight key: the holder is the unique caller
@@ -177,16 +177,18 @@ pub struct FlightGuard<'a> {
 
 impl Drop for FlightGuard<'_> {
     fn drop(&mut self) {
-        let mut inflight = self.store.inflight.lock();
-        if inflight
+        let mut tiers = self.store.tiers();
+        if tiers
+            .inflight
             .get(&self.key)
             .is_some_and(|s| Arc::ptr_eq(s, &self.state))
         {
-            inflight.remove(&self.key);
+            tiers.inflight.remove(&self.key);
         }
-        drop(inflight);
-        *self.state.done.lock() = true;
-        self.state.cv.notify_all();
+        drop(tiers);
+        let state = &self.state;
+        *state.done.lock().unwrap_or_else(PoisonError::into_inner) = true;
+        state.cv.notify_all();
     }
 }
 
@@ -211,9 +213,10 @@ impl FlightWaiter {
     /// Blocks until the in-flight simulation retires (publish or
     /// abandon). Re-`lookup` afterwards for the outcome.
     pub fn wait(self) {
-        let mut done = self.state.done.lock();
+        let state = &self.state;
+        let mut done = state.done.lock().unwrap_or_else(PoisonError::into_inner);
         while !*done {
-            done = self.state.cv.wait(done);
+            done = state.cv.wait(done).unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
@@ -305,14 +308,30 @@ impl Lru {
     }
 }
 
+/// The memory tier and the in-flight table, under one lock: a lookup's
+/// flight check and LRU read, a publish and a flight's retirement each
+/// take it once, and nothing else is ever locked while it is held.
+struct Tiers {
+    lru: Lru,
+    inflight: HashMap<SimKey, Arc<FlightState>>,
+}
+
+impl Tiers {
+    fn new(lru_capacity: usize) -> Self {
+        Self {
+            lru: Lru::new(lru_capacity),
+            inflight: HashMap::new(),
+        }
+    }
+}
+
 /// The layered key→result store. Cheap to share behind an `Arc`; all
 /// methods take `&self`.
 pub struct ResultStore {
     pub(crate) dir: Option<PathBuf>,
     pub(crate) io: Arc<dyn StoreIo>,
     retry: RetryPolicy,
-    lru: OrderedMutex<Lru>,
-    inflight: OrderedMutex<HashMap<SimKey, Arc<FlightState>>>,
+    tiers: Mutex<Tiers>,
     hits: AtomicU64,
     misses: AtomicU64,
     stores: AtomicU64,
@@ -384,8 +403,7 @@ impl ResultStore {
             dir: None,
             io: Arc::new(RealIo),
             retry: RetryPolicy::default(),
-            lru: OrderedMutex::new("store.lru", Lru::new(DEFAULT_LRU_CAPACITY)),
-            inflight: OrderedMutex::new("store.inflight", HashMap::new()),
+            tiers: Mutex::new(Tiers::new(DEFAULT_LRU_CAPACITY)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             stores: AtomicU64::new(0),
@@ -403,7 +421,7 @@ impl ResultStore {
     #[must_use]
     pub fn with_lru_capacity(self, capacity: usize) -> Self {
         Self {
-            lru: OrderedMutex::new("store.lru", Lru::new(capacity.max(1))),
+            tiers: Mutex::new(Tiers::new(capacity.max(1))),
             ..self
         }
     }
@@ -445,6 +463,12 @@ impl ResultStore {
     #[must_use]
     pub fn thread_misses() -> u64 {
         THREAD_MISSES.with(Cell::get)
+    }
+
+    /// The memory tier and flight table. Both hold only cache state, so
+    /// a poisoned lock is recovered rather than propagated.
+    fn tiers(&self) -> MutexGuard<'_, Tiers> {
+        self.tiers.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn count_miss(&self) {
@@ -493,7 +517,7 @@ impl ResultStore {
     /// the LRU). Infallible — a record that cannot be read or decoded is
     /// quarantined and reported as a miss.
     fn probe(&self, key: SimKey) -> Option<SimResult> {
-        if let Some(hit) = self.lru.lock().get(key) {
+        if let Some(hit) = self.tiers().lru.get(key) {
             return Some(hit);
         }
         let path = self.entry_path(key)?;
@@ -507,7 +531,7 @@ impl ResultStore {
         };
         match decode_sim_result(&bytes) {
             Ok(result) => {
-                self.lru.lock().insert(key, result.clone());
+                self.tiers().lru.insert(key, result.clone());
                 Some(result)
             }
             Err(e) => {
@@ -556,31 +580,22 @@ impl ResultStore {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Flight::Hit(Box::new(hit));
         }
-        let mut inflight = self.inflight.lock();
-        if let Some(state) = inflight.get(&key) {
+        let mut tiers = self.tiers();
+        if let Some(state) = tiers.inflight.get(&key) {
             self.coalesced.fetch_add(1, Ordering::Relaxed);
             return Flight::Pending(FlightWaiter {
                 state: Arc::clone(state),
             });
         }
-        // Re-probe under the in-flight lock: an in-process leader
-        // publishes into the LRU (in `put`) *before* its guard takes
-        // this lock to retire the entry, so any publish that beat us
-        // here is visible and we must not claim leadership for a
-        // filled key. Memory only — a disk read under this global lock
-        // would serialize every cold lookup; the one race it would
-        // close (a concurrent *cross-process* publish since the first
-        // probe) merely costs one deterministic re-simulation.
-        if let Some(hit) = self.lru.lock().get(key) {
+        // A leader publishes before it retires its flight, so an
+        // in-process publish since the first probe is visible here.
+        if let Some(hit) = tiers.lru.get(key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Flight::Hit(Box::new(hit));
         }
-        let state = Arc::new(FlightState {
-            done: OrderedMutex::new("store.flight", false),
-            cv: OrderedCondvar::new(),
-        });
-        inflight.insert(key, Arc::clone(&state));
-        drop(inflight);
+        let state = Arc::<FlightState>::default();
+        tiers.inflight.insert(key, Arc::clone(&state));
+        drop(tiers);
         self.count_miss();
         Flight::Lead(FlightGuard {
             store: self,
@@ -593,7 +608,7 @@ impl ResultStore {
     /// point for ephemeral stores, where there is no disk slot to
     /// publish into.
     pub(crate) fn insert_memory(&self, key: SimKey, result: &SimResult) {
-        self.lru.lock().insert(key, result.clone());
+        self.tiers().lru.insert(key, result.clone());
     }
 
     /// One publish attempt: fsynced tempfile, atomic rename, directory
@@ -635,7 +650,7 @@ impl ResultStore {
     /// deterministic per-key jitter); exhausting every attempt latches
     /// degraded (memory-only) mode rather than failing the caller.
     pub fn put(&self, key: SimKey, result: &SimResult) {
-        self.lru.lock().insert(key, result.clone());
+        self.tiers().lru.insert(key, result.clone());
         self.stores.fetch_add(1, Ordering::Relaxed);
         let Some(path) = self.entry_path(key) else {
             return;
@@ -879,13 +894,13 @@ mod tests {
         // Poison the inner mutex: panic while holding the guard (the
         // same poisoning a worker-thread panic mid-operation causes).
         let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = store.lru.raw().lock().unwrap();
+            let _guard = store.tiers.lock().unwrap();
             panic!("worker died mid-operation");
         }));
         assert!(poisoned.is_err());
-        assert!(store.lru.raw().lock().is_err(), "lock really is poisoned");
-        // Every path over the lock must keep working: the Lru holds
-        // only cache state, so it is recovered, not propagated.
+        assert!(store.tiers.lock().is_err(), "lock really is poisoned");
+        // Every path over the lock must keep working: the tiers hold
+        // only cache state, so poison is recovered, not propagated.
         assert_eq!(store.get(key), Some(result.clone()));
         store.put(key, &result);
         assert!(matches!(store.lookup(key), Flight::Hit(_)));
@@ -928,6 +943,75 @@ mod tests {
         assert_eq!(s.misses, 1, "one engine invocation for 8 queries");
         assert_eq!(s.hits, 7, "everyone else reuses the published result");
         assert_eq!(s.coalesced, 7, "everyone else waited on the flight");
+    }
+
+    #[test]
+    fn single_flight_holds_under_eviction_pressure() {
+        // Four keys through a one-entry LRU: every publish evicts
+        // another key, so lookups race eviction against live flights.
+        let timing = CycleTimeModel::silverthorne_45nm();
+        let cfg = SimConfig::at_vcc(
+            CoreConfig::silverthorne(),
+            &timing,
+            mv(500),
+            Mechanism::Iraw,
+        );
+        let sim = Simulator::new(cfg.clone()).unwrap();
+        let points: Vec<(SimKey, SimResult)> = (0..4)
+            .map(|seed| {
+                let spec = TraceSpec::new(WorkloadFamily::Kernel, seed, 3_000);
+                let trace = spec.build().unwrap();
+                (sim_key(&cfg, &spec), sim.run(&trace).unwrap())
+            })
+            .collect();
+        let store = ResultStore::ephemeral().with_lru_capacity(1);
+        let workers = 8;
+        let barrier = std::sync::Barrier::new(workers);
+        let (leads, pendings) = (AtomicU64::new(0), AtomicU64::new(0));
+        std::thread::scope(|s| {
+            for thread in 0..workers {
+                let (store, points, barrier) = (&store, &points, &barrier);
+                let (leads, pendings) = (&leads, &pendings);
+                s.spawn(move || {
+                    barrier.wait();
+                    for round in 0..50 {
+                        for (k, (key, result)) in points.iter().enumerate() {
+                            loop {
+                                match store.lookup(*key) {
+                                    Flight::Hit(r) => {
+                                        assert_eq!(*r, *result);
+                                        break;
+                                    }
+                                    Flight::Lead(guard) => {
+                                        leads.fetch_add(1, Ordering::Relaxed);
+                                        std::thread::yield_now();
+                                        // Publish two leads in three;
+                                        // abandon the third.
+                                        if (thread + k + round) % 3 != 0 {
+                                            store.put(*key, result);
+                                        }
+                                        drop(guard);
+                                        break;
+                                    }
+                                    Flight::Pending(waiter) => {
+                                        pendings.fetch_add(1, Ordering::Relaxed);
+                                        waiter.wait();
+                                    }
+                                }
+                            }
+                        }
+                    }
+                });
+            }
+        });
+        let s = store.stats();
+        assert_eq!(s.misses, leads.load(Ordering::Relaxed), "one miss per lead");
+        assert_eq!(
+            s.coalesced,
+            pendings.load(Ordering::Relaxed),
+            "one coalesced wait per pending"
+        );
+        assert!(s.misses > 0 && s.coalesced > 0, "the race was exercised");
     }
 
     #[test]

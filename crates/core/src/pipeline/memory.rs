@@ -135,20 +135,6 @@ impl MemHierarchy {
         self.other_fill_stall_cycles = 0;
     }
 
-    /// Reconfigures every guard's `N` (Vcc change).
-    pub fn set_stabilization_cycles(&mut self, n: u32) {
-        for g in [
-            &mut self.il0_guard,
-            &mut self.dl0_guard,
-            &mut self.ul1_guard,
-            &mut self.itlb_guard,
-            &mut self.dtlb_guard,
-            &mut self.wcb_guard,
-        ] {
-            g.set_n(n);
-        }
-    }
-
     /// DL0 set index of a byte address (for the Store Table).
     #[must_use]
     pub fn dl0_set_of(&self, addr: u64) -> u64 {
@@ -159,12 +145,6 @@ impl MemHierarchy {
     #[must_use]
     pub fn dl0_blocked(&self, cycle: u64) -> bool {
         self.dl0_guard.is_stalled(cycle)
-    }
-
-    /// First cycle the DL0 port frees.
-    #[must_use]
-    pub fn dl0_free_at(&self) -> u64 {
-        self.dl0_guard.free_at()
     }
 
     /// First cycle after `now` at which [`MemHierarchy::dl0_blocked`]
@@ -354,13 +334,6 @@ impl MemHierarchy {
     #[must_use]
     pub fn other_fill_stall_cycles(&self) -> u64 {
         self.other_fill_stall_cycles
-    }
-
-    /// Cycles by which the DL0 guard is armed (exposed for issue-side
-    /// stall attribution).
-    #[must_use]
-    pub fn dl0_guard_events(&self) -> u64 {
-        self.dl0_guard.stall_events()
     }
 
     /// IL0 statistics.

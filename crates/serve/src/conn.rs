@@ -28,11 +28,10 @@ use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use lowvcc_bench::json;
-use lowvcc_bench::lockdep::OrderedMutex;
 
 use crate::metrics::Metrics;
 use crate::reactor::{Interest, Reactor, Waker};
@@ -144,8 +143,8 @@ pub fn run(daemon: &Daemon, listener: &TcpListener, opts: ServeOptions) -> io::R
     reactor.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
 
     let (job_tx, job_rx) = mpsc::channel::<Job>();
-    let job_rx = OrderedMutex::new("serve.jobs", job_rx);
-    let done = OrderedMutex::new("serve.done", Vec::<Done>::new());
+    let job_rx = Mutex::new(job_rx);
+    let done = Mutex::new(Vec::<Done>::new());
     let draining = AtomicBool::new(false);
 
     std::thread::scope(|s| {
@@ -184,14 +183,14 @@ pub fn run(daemon: &Daemon, listener: &TcpListener, opts: ServeOptions) -> io::R
 /// survive it.
 fn worker(
     daemon: &Daemon,
-    job_rx: &OrderedMutex<mpsc::Receiver<Job>>,
-    done: &OrderedMutex<Vec<Done>>,
+    job_rx: &Mutex<mpsc::Receiver<Job>>,
+    done: &Mutex<Vec<Done>>,
     draining: &AtomicBool,
     waker: Waker,
 ) {
     let metrics = daemon.metrics();
     loop {
-        let next = job_rx.lock().recv();
+        let next = job_rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
         let Ok(job) = next else { break };
         let outcome = if draining.load(Ordering::SeqCst) {
             Outcome::DrainRefused(error_line("daemon is shutting down", false))
@@ -205,10 +204,12 @@ fn worker(
             }
         };
         metrics.job_done();
-        done.lock().push(Done {
-            conn: job.conn,
-            outcome,
-        });
+        done.lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(Done {
+                conn: job.conn,
+                outcome,
+            });
         waker.wake();
     }
 }
@@ -230,7 +231,7 @@ struct Loop<'a> {
     reactor: &'a Reactor,
     opts: &'a ServeOptions,
     job_tx: mpsc::Sender<Job>,
-    done: &'a OrderedMutex<Vec<Done>>,
+    done: &'a Mutex<Vec<Done>>,
     draining: &'a AtomicBool,
     conns: HashMap<u64, Conn>,
     next_id: u64,
@@ -248,7 +249,9 @@ impl Loop<'_> {
             let timeout = self.next_timeout();
             self.reactor.wait(&mut events, timeout)?;
 
-            for d in std::mem::take(&mut *self.done.lock()) {
+            let done =
+                std::mem::take(&mut *self.done.lock().unwrap_or_else(PoisonError::into_inner));
+            for d in done {
                 self.apply_completion(d);
             }
             for ev in &events {

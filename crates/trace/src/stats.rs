@@ -141,12 +141,6 @@ impl TraceStats {
     pub fn code_footprint_bytes(&self) -> u64 {
         self.code_lines as u64 * 64
     }
-
-    /// Approximate data working set in bytes (64 B per line).
-    #[must_use]
-    pub fn data_footprint_bytes(&self) -> u64 {
-        self.data_lines as u64 * 64
-    }
 }
 
 #[cfg(test)]
