@@ -10,11 +10,10 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
-use std::time::{Duration, SystemTime};
+use std::time::SystemTime;
 
-use lowvcc_core::{decode_sim_result, SimKey};
+use lowvcc_core::decode_sim_result;
 
-use crate::bundle::{decode_bundle, encode_bundle, BundleRecord};
 use crate::store::{ResultStore, StoreError, QUARANTINE_DIR};
 
 /// A point-in-time picture of what is on disk under a store root.
@@ -58,34 +57,6 @@ pub struct VacuumReport {
     pub kept_bytes: u64,
     /// Bytes reclaimed.
     pub removed_bytes: u64,
-}
-
-/// Outcome of packing a store into an `LVCB` bundle
-/// ([`ResultStore::export_bundle`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BundleExportReport {
-    /// Records shipped.
-    pub records: u64,
-    /// Size of the written bundle file.
-    pub bytes: u64,
-    /// Live records skipped because they failed to read, decode, or
-    /// carry a parsable key — export never ships damage.
-    pub skipped_corrupt: u64,
-    /// Records filtered out by the `--since` window.
-    pub skipped_stale: u64,
-}
-
-/// Outcome of unpacking an `LVCB` bundle ([`ResultStore::import_bundle`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BundleImportReport {
-    /// Records newly landed in this store.
-    pub imported: u64,
-    /// Records whose disk slot was already filled (re-import is
-    /// idempotent: same key, deterministically the same bytes).
-    pub already_present: u64,
-    /// Records that failed LVCR validation and were parked in
-    /// `quarantine/` instead of entering the store.
-    pub quarantined: u64,
 }
 
 /// One record in `quarantine/`.
@@ -238,139 +209,6 @@ impl ResultStore {
             report.removed_bytes += victim.bytes;
             report.kept -= 1;
             report.kept_bytes -= victim.bytes;
-        }
-        Ok(report)
-    }
-
-    /// Packs this store's live records into an `LVCB` bundle at `out`,
-    /// written atomically (fsynced sibling tempfile, rename). Records
-    /// are sorted by key, so two exports of identical content are
-    /// byte-identical files. `since` keeps only records touched within
-    /// that window (access time, falling back to mtime — the same
-    /// recency the vacuum uses). Records that fail to read or decode
-    /// are skipped and counted, never shipped. Ephemeral stores export
-    /// an empty (but valid) bundle.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] if the root cannot be listed or the bundle
-    /// cannot be written.
-    pub fn export_bundle(
-        &self,
-        out: &Path,
-        since: Option<Duration>,
-    ) -> Result<BundleExportReport, StoreError> {
-        let mut report = BundleExportReport::default();
-        let mut shipped = Vec::new();
-        if let Some(dir) = self.dir() {
-            let cutoff = since.and_then(|window| SystemTime::now().checked_sub(window));
-            for record in disk_records(dir)? {
-                if cutoff.is_some_and(|c| record.touched < c) {
-                    report.skipped_stale += 1;
-                    continue;
-                }
-                let key = record
-                    .path
-                    .file_stem()
-                    .and_then(|s| s.to_str())
-                    .and_then(SimKey::from_hex);
-                let Some(key) = key else {
-                    report.skipped_corrupt += 1;
-                    continue;
-                };
-                let Ok(bytes) = self.io.read(&record.path) else {
-                    report.skipped_corrupt += 1;
-                    continue;
-                };
-                if decode_sim_result(&bytes).is_err() {
-                    report.skipped_corrupt += 1;
-                    continue;
-                }
-                shipped.push(BundleRecord {
-                    key: key.value(),
-                    bytes,
-                });
-            }
-        }
-        shipped.sort_by_key(|r| r.key);
-        report.records = shipped.len() as u64;
-        let image = encode_bundle(&shipped);
-        report.bytes = image.len() as u64;
-        let name = out
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or("bundle.lvcb");
-        let tmp = out.with_file_name(format!(".{name}.tmp.{}", std::process::id()));
-        self.io.write_sync(&tmp, &image).map_err(|e| {
-            let _ = self.io.remove_file(&tmp);
-            io_err(&tmp, e)
-        })?;
-        self.io.rename(&tmp, out).map_err(|e| {
-            let _ = self.io.remove_file(&tmp);
-            io_err(out, e)
-        })?;
-        if let Some(parent) = out.parent().filter(|p| !p.as_os_str().is_empty()) {
-            // Durability of the rename itself; failure here does not
-            // un-write the bundle.
-            let _ = self.io.sync_dir(parent);
-        }
-        Ok(report)
-    }
-
-    /// Unpacks an `LVCB` bundle into this store. The bundle envelope is
-    /// verified fail-closed first (digest, magic, versions) — a damaged
-    /// or foreign-engine bundle imports nothing. Each record is then
-    /// LVCR-decoded: valid ones are published atomically into their
-    /// disk slot (skipping slots already filled, so re-import after a
-    /// partial failure is idempotent), invalid ones are parked in
-    /// `quarantine/` and counted rather than aborting the rest.
-    /// Ephemeral stores import into the memory tier.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Corrupt`] if the bundle envelope fails validation;
-    /// [`StoreError::Io`] if the bundle cannot be read or a record
-    /// cannot be published.
-    pub fn import_bundle(&self, file: &Path) -> Result<BundleImportReport, StoreError> {
-        let image = self.io.read(file).map_err(|e| io_err(file, e))?;
-        let records = decode_bundle(&image).map_err(|source| StoreError::Corrupt {
-            path: file.to_path_buf(),
-            source,
-        })?;
-        let mut report = BundleImportReport::default();
-        for rec in records {
-            let key = SimKey::from_value(rec.key);
-            match decode_sim_result(&rec.bytes) {
-                Err(_) => {
-                    if let Some(dir) = self.dir() {
-                        let qdir = dir.join(QUARANTINE_DIR);
-                        let dest = qdir.join(format!("bundle-{}.rec", key.to_hex()));
-                        // Best-effort parking; the count is the record
-                        // of what happened even if the write fails.
-                        let _ = self
-                            .io
-                            .create_dir_all(&qdir)
-                            .and_then(|()| self.io.write_sync(&dest, &rec.bytes));
-                    }
-                    self.quarantined.fetch_add(1, Ordering::Relaxed);
-                    report.quarantined += 1;
-                }
-                Ok(result) => match self.entry_path(key) {
-                    Some(path) => {
-                        if path.exists() {
-                            report.already_present += 1;
-                        } else {
-                            self.try_publish(&path, &rec.bytes)
-                                .map_err(|e| io_err(&path, e))?;
-                            report.imported += 1;
-                        }
-                    }
-                    None => {
-                        self.insert_memory(key, &result);
-                        report.imported += 1;
-                    }
-                },
-            }
         }
         Ok(report)
     }
@@ -528,115 +366,6 @@ mod tests {
         let cold = ResultStore::open(&dir).unwrap();
         assert!(matches!(cold.lookup(key), Flight::Lead(_)));
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn bundle_round_trip_ships_a_warm_cache() {
-        let src = tmpdir("bundle_src");
-        let store = ResultStore::open(&src).unwrap();
-        let keys: Vec<SimKey> = [450u32, 500, 550]
-            .iter()
-            .map(|&v| {
-                let (key, result) = run_at(v);
-                store.put(key, &result);
-                key
-            })
-            .collect();
-        let out = tmpdir("bundle_out");
-        fs::create_dir_all(&out).unwrap();
-        let bundle = out.join("warm.lvcb");
-        let report = store.export_bundle(&bundle, None).unwrap();
-        assert_eq!(report.records, 3);
-        assert_eq!((report.skipped_corrupt, report.skipped_stale), (0, 0));
-        // Deterministic: a second export is byte-identical.
-        let bundle2 = out.join("warm2.lvcb");
-        store.export_bundle(&bundle2, None).unwrap();
-        assert_eq!(fs::read(&bundle).unwrap(), fs::read(&bundle2).unwrap());
-
-        // Import into a fresh root: a cold handle then hits everything.
-        let dst = tmpdir("bundle_dst");
-        let fresh = ResultStore::open(&dst).unwrap();
-        let imported = fresh.import_bundle(&bundle).unwrap();
-        assert_eq!(imported.imported, 3);
-        let cold = ResultStore::open(&dst).unwrap();
-        for &key in &keys {
-            assert!(cold.get(key).is_some());
-        }
-        assert_eq!(cold.stats().misses, 0);
-        // Re-import is idempotent.
-        let again = fresh.import_bundle(&bundle).unwrap();
-        assert_eq!((again.imported, again.already_present), (0, 3));
-
-        // An ephemeral store imports into its memory tier.
-        let mem = ResultStore::ephemeral();
-        assert_eq!(mem.import_bundle(&bundle).unwrap().imported, 3);
-        assert!(mem.get(keys[0]).is_some());
-        assert_eq!(mem.disk_entries(), 0);
-        for d in [&src, &out, &dst] {
-            let _ = fs::remove_dir_all(d);
-        }
-    }
-
-    #[test]
-    fn bundle_since_window_filters_stale_records() {
-        let src = tmpdir("bundle_since");
-        let store = ResultStore::open(&src).unwrap();
-        let (key, result) = run_at(500);
-        store.put(key, &result);
-        // A generous window keeps everything…
-        let all = src.join("all.lvcb");
-        let report = store
-            .export_bundle(&all, Some(Duration::from_secs(3600)))
-            .unwrap();
-        assert_eq!((report.records, report.skipped_stale), (1, 0));
-        // …and once the record is older than the window, it is skipped.
-        std::thread::sleep(Duration::from_millis(60));
-        let none = src.join("none.lvcb");
-        let report = store
-            .export_bundle(&none, Some(Duration::from_millis(1)))
-            .unwrap();
-        assert_eq!((report.records, report.skipped_stale), (0, 1));
-        let _ = fs::remove_dir_all(&src);
-    }
-
-    #[test]
-    fn bundle_import_fails_closed_and_quarantines_bad_records() {
-        let (key, result) = run_at(500);
-        let good = crate::bundle::BundleRecord {
-            key: key.value(),
-            bytes: lowvcc_core::encode_sim_result(&result),
-        };
-        let bad = crate::bundle::BundleRecord {
-            key: key.value() ^ 1,
-            bytes: b"not an LVCR record".to_vec(),
-        };
-        let image = crate::bundle::encode_bundle(&[good, bad]);
-        let dir = tmpdir("bundle_quarantine");
-        fs::create_dir_all(&dir).unwrap();
-        let file = dir.join("mixed.lvcb");
-        fs::write(&file, &image).unwrap();
-
-        let root = tmpdir("bundle_quarantine_root");
-        let store = ResultStore::open(&root).unwrap();
-        let report = store.import_bundle(&file).unwrap();
-        assert_eq!((report.imported, report.quarantined), (1, 1));
-        assert_eq!(store.quarantine_list().unwrap().len(), 1);
-        assert!(store.get(key).is_some());
-
-        // A flipped byte anywhere in the envelope imports nothing.
-        let mut torn = image;
-        torn[10] ^= 0x20;
-        fs::write(&file, &torn).unwrap();
-        let fresh_root = tmpdir("bundle_torn_root");
-        let fresh = ResultStore::open(&fresh_root).unwrap();
-        assert!(matches!(
-            fresh.import_bundle(&file),
-            Err(StoreError::Corrupt { .. })
-        ));
-        assert_eq!(fresh.summary().unwrap().entries, 0);
-        for d in [&dir, &root, &fresh_root] {
-            let _ = fs::remove_dir_all(d);
-        }
     }
 
     #[test]

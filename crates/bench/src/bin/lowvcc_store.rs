@@ -8,8 +8,6 @@
 //! lowvcc-store vacuum --max-bytes N[k|m|g] DIR
 //! lowvcc-store quarantine list DIR
 //! lowvcc-store quarantine purge DIR
-//! lowvcc-store export --out FILE [--since SECS] DIR
-//! lowvcc-store import FILE DIR
 //! ```
 //!
 //! `stats` sizes up the store (live entries/bytes, quarantine, orphan
@@ -18,26 +16,20 @@
 //! that something was quarantined, so a cron'd scrub alerts on bit rot.
 //! `vacuum` collects the store down to a byte budget, least recently
 //! used records first. `quarantine list`/`purge` inspect and empty the
-//! quarantine directory. `export` packs the store's live records into a
-//! checksummed `LVCB` bundle (optionally only those touched within the
-//! last `--since SECS`); `import` unpacks a bundle into a store root —
-//! atomically, idempotently, quarantining bad records, exit code 1 if
-//! any record was quarantined.
+//! quarantine directory. DIR must already exist: a mistyped path or a
+//! copy that never landed is an error, not a clean empty store.
 //!
-//! Exit codes: 0 clean, 1 `verify` quarantined at least one record (or
-//! `import` quarantined a bundle record), 2 usage or I/O errors.
+//! Exit codes: 0 clean, 1 `verify` quarantined at least one record, 2
+//! usage or I/O errors.
 
 use std::fmt;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Duration;
 
 use lowvcc_bench::{ResultStore, StoreError};
 
 const USAGE: &str = "usage: lowvcc-store <stats|verify|quarantine list|quarantine purge> DIR\n\
-                     \x20      lowvcc-store vacuum --max-bytes N[k|m|g] DIR\n\
-                     \x20      lowvcc-store export --out FILE [--since SECS] DIR\n\
-                     \x20      lowvcc-store import FILE DIR";
+                     \x20      lowvcc-store vacuum --max-bytes N[k|m|g] DIR";
 
 /// Binary-local error: either a usage problem or a store failure.
 #[derive(Debug)]
@@ -71,21 +63,9 @@ fn usage<T>(msg: impl Into<String>) -> Result<T, CliError> {
 enum Command {
     Stats(PathBuf),
     Verify(PathBuf),
-    Vacuum {
-        dir: PathBuf,
-        max_bytes: u64,
-    },
+    Vacuum { dir: PathBuf, max_bytes: u64 },
     QuarantineList(PathBuf),
     QuarantinePurge(PathBuf),
-    Export {
-        dir: PathBuf,
-        out: PathBuf,
-        since: Option<Duration>,
-    },
-    Import {
-        dir: PathBuf,
-        file: PathBuf,
-    },
     Help,
 }
 
@@ -143,36 +123,22 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Command, CliErro
             [sub, dir] if sub == "purge" => Ok(Command::QuarantinePurge(PathBuf::from(dir))),
             _ => usage(format!("quarantine takes list|purge and a DIR\n{USAGE}")),
         },
-        Some("export") => match &args[1..] {
-            [flag, out, dir] if flag == "--out" => Ok(Command::Export {
-                dir: PathBuf::from(dir),
-                out: PathBuf::from(out),
-                since: None,
-            }),
-            [flag, out, since_flag, secs, dir] if flag == "--out" && since_flag == "--since" => {
-                let secs: u64 = secs
-                    .parse()
-                    .or_else(|_| usage(format!("bad --since {secs}; want a number of seconds")))?;
-                Ok(Command::Export {
-                    dir: PathBuf::from(dir),
-                    out: PathBuf::from(out),
-                    since: Some(Duration::from_secs(secs)),
-                })
-            }
-            _ => usage(format!(
-                "export needs --out FILE [--since SECS] and a DIR\n{USAGE}"
-            )),
-        },
-        Some("import") => match &args[1..] {
-            [file, dir] => Ok(Command::Import {
-                dir: PathBuf::from(dir),
-                file: PathBuf::from(file),
-            }),
-            _ => usage(format!("import takes a FILE and a DIR\n{USAGE}")),
-        },
         Some(other) => usage(format!("unknown command {other}\n{USAGE}")),
         None => usage(USAGE),
     }
+}
+
+/// Opens the store at `dir`, which must already be a directory.
+/// [`ResultStore::open`] creates a missing root, which suits writers but
+/// would let a scrub of a mistyped path report a clean, empty store.
+fn open_existing(dir: PathBuf) -> Result<ResultStore, CliError> {
+    if !dir.is_dir() {
+        return usage(format!(
+            "{}: not an existing store directory",
+            dir.display()
+        ));
+    }
+    Ok(ResultStore::open(dir)?)
 }
 
 /// Runs a validated command; returns the process exit code.
@@ -183,7 +149,7 @@ fn run(cmd: Command) -> Result<ExitCode, CliError> {
             Ok(ExitCode::SUCCESS)
         }
         Command::Stats(dir) => {
-            let store = ResultStore::open(dir)?;
+            let store = open_existing(dir)?;
             let s = store.summary()?;
             println!("entries:             {}", s.entries);
             println!("entry bytes:         {}", s.entry_bytes);
@@ -194,7 +160,7 @@ fn run(cmd: Command) -> Result<ExitCode, CliError> {
             Ok(ExitCode::SUCCESS)
         }
         Command::Verify(dir) => {
-            let store = ResultStore::open(dir)?;
+            let store = open_existing(dir)?;
             let r = store.verify()?;
             println!(
                 "scanned {} records: {} ok ({} bytes), {} quarantined",
@@ -207,7 +173,7 @@ fn run(cmd: Command) -> Result<ExitCode, CliError> {
             })
         }
         Command::Vacuum { dir, max_bytes } => {
-            let store = ResultStore::open(dir)?;
+            let store = open_existing(dir)?;
             let r = store.vacuum(max_bytes)?;
             println!(
                 "kept {} records ({} bytes), removed {} ({} bytes) to fit {max_bytes} bytes",
@@ -216,7 +182,7 @@ fn run(cmd: Command) -> Result<ExitCode, CliError> {
             Ok(ExitCode::SUCCESS)
         }
         Command::QuarantineList(dir) => {
-            let store = ResultStore::open(dir)?;
+            let store = open_existing(dir)?;
             let entries = store.quarantine_list()?;
             for e in &entries {
                 println!("{}\t{}", e.bytes, e.path.display());
@@ -225,39 +191,10 @@ fn run(cmd: Command) -> Result<ExitCode, CliError> {
             Ok(ExitCode::SUCCESS)
         }
         Command::QuarantinePurge(dir) => {
-            let store = ResultStore::open(dir)?;
+            let store = open_existing(dir)?;
             let purged = store.quarantine_purge()?;
             println!("purged {purged} quarantined record(s)");
             Ok(ExitCode::SUCCESS)
-        }
-        Command::Export { dir, out, since } => {
-            let store = ResultStore::open(dir)?;
-            let r = store.export_bundle(&out, since)?;
-            println!(
-                "bundled {} record(s) ({} bytes) into {} ({} corrupt skipped, {} outside --since)",
-                r.records,
-                r.bytes,
-                out.display(),
-                r.skipped_corrupt,
-                r.skipped_stale
-            );
-            Ok(ExitCode::SUCCESS)
-        }
-        Command::Import { dir, file } => {
-            let store = ResultStore::open(dir)?;
-            let r = store.import_bundle(&file)?;
-            println!(
-                "imported {} record(s) from {} ({} already present, {} quarantined)",
-                r.imported,
-                file.display(),
-                r.already_present,
-                r.quarantined
-            );
-            Ok(if r.quarantined == 0 {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::from(1)
-            })
         }
     }
 }
@@ -313,29 +250,6 @@ mod tests {
             parse(&["quarantine", "purge", "d"]).unwrap(),
             Command::QuarantinePurge(PathBuf::from("d"))
         );
-        assert_eq!(
-            parse(&["export", "--out", "warm.lvcb", "d"]).unwrap(),
-            Command::Export {
-                dir: PathBuf::from("d"),
-                out: PathBuf::from("warm.lvcb"),
-                since: None,
-            }
-        );
-        assert_eq!(
-            parse(&["export", "--out", "warm.lvcb", "--since", "3600", "d"]).unwrap(),
-            Command::Export {
-                dir: PathBuf::from("d"),
-                out: PathBuf::from("warm.lvcb"),
-                since: Some(Duration::from_secs(3600)),
-            }
-        );
-        assert_eq!(
-            parse(&["import", "warm.lvcb", "d"]).unwrap(),
-            Command::Import {
-                dir: PathBuf::from("d"),
-                file: PathBuf::from("warm.lvcb"),
-            }
-        );
         assert_eq!(parse(&["--help"]).unwrap(), Command::Help);
         assert_eq!(parse(&["-h"]).unwrap(), Command::Help);
     }
@@ -363,9 +277,31 @@ mod tests {
         assert!(usage_of(&["vacuum", "--max-bytes", "x", "d"]).contains("bad byte budget"));
         assert!(usage_of(&["quarantine", "d"]).contains("list|purge"));
         assert!(usage_of(&["quarantine", "drop", "d"]).contains("list|purge"));
-        assert!(usage_of(&["export", "d"]).contains("--out"));
-        assert!(usage_of(&["export", "--out", "f", "--since", "soon", "d"]).contains("bad --since"));
-        assert!(usage_of(&["import", "f"]).contains("FILE and a DIR"));
-        assert!(usage_of(&["import", "f", "d", "x"]).contains("FILE and a DIR"));
+        assert!(usage_of(&["export", "--out", "f", "d"]).contains("unknown command"));
+        assert!(usage_of(&["import", "f", "d"]).contains("unknown command"));
+    }
+
+    #[test]
+    fn missing_store_dirs_are_refused_and_never_created() {
+        let missing =
+            std::env::temp_dir().join(format!("lowvcc_store_cli_missing_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&missing);
+        let commands = [
+            Command::Stats(missing.clone()),
+            Command::Verify(missing.clone()),
+            Command::Vacuum {
+                dir: missing.clone(),
+                max_bytes: 0,
+            },
+            Command::QuarantineList(missing.clone()),
+            Command::QuarantinePurge(missing.clone()),
+        ];
+        for cmd in commands {
+            match run(cmd.clone()) {
+                Err(e) => assert!(e.to_string().contains(&*missing.to_string_lossy()), "{e}"),
+                Ok(code) => panic!("{cmd:?} succeeded ({code:?}) on a missing root"),
+            }
+            assert!(!missing.exists(), "{cmd:?} created the missing root");
+        }
     }
 }

@@ -349,7 +349,7 @@ impl ExperimentContext {
 
     /// Baseline-vs-IRAW comparison at `vcc` over the suite, as one
     /// two-configuration batch through the cache. The cache-aware
-    /// equivalent of [`lowvcc_core::compare_mechanisms_with`].
+    /// equivalent of [`lowvcc_core::compare_mechanisms`].
     ///
     /// # Errors
     ///
@@ -508,14 +508,8 @@ mod tests {
     #[test]
     fn cached_comparison_matches_uncached() {
         let ctx = ExperimentContext::sized(1, 3_000).unwrap();
-        let direct = lowvcc_core::compare_mechanisms_with(
-            ctx.core,
-            &ctx.timing,
-            mv(500),
-            &ctx.suite,
-            ctx.parallelism,
-        )
-        .unwrap();
+        let direct =
+            lowvcc_core::compare_mechanisms(ctx.core, &ctx.timing, mv(500), &ctx.suite).unwrap();
         let cached_ctx = ctx.with_cache(Arc::new(ResultStore::ephemeral()));
         let through_cache = cached_ctx.compare_mechanisms(mv(500)).unwrap();
         assert_eq!(direct, through_cache);

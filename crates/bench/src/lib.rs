@@ -23,7 +23,6 @@
 //! See the repository README for how to run the `experiments` binary.
 
 pub mod admin;
-pub mod bundle;
 pub mod context;
 pub mod error;
 pub mod experiments;
@@ -32,11 +31,7 @@ pub mod report;
 pub mod store;
 pub mod store_io;
 
-pub use admin::{
-    BundleExportReport, BundleImportReport, QuarantineEntry, ScrubReport, StoreSummary,
-    VacuumReport,
-};
-pub use bundle::{BundleRecord, BUNDLE_FORMAT_VERSION, BUNDLE_MAGIC};
+pub use admin::{QuarantineEntry, ScrubReport, StoreSummary, VacuumReport};
 pub use context::{ExperimentContext, SuiteChoice, SuiteSpecError};
 pub use error::ExperimentError;
 pub use report::TextTable;

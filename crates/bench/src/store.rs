@@ -53,7 +53,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use lowvcc_core::canon::fnv1a_64;
-use lowvcc_core::{decode_sim_result, encode_sim_result, CanonError, SimKey, SimResult};
+use lowvcc_core::{decode_sim_result, encode_sim_result, SimKey, SimResult};
 
 use crate::store_io::{RealIo, RetryPolicy, StoreIo};
 
@@ -69,14 +69,6 @@ pub enum StoreError {
         path: PathBuf,
         /// Underlying error.
         source: io::Error,
-    },
-    /// An on-disk record failed validation (bad magic, truncation,
-    /// checksum mismatch, foreign version…).
-    Corrupt {
-        /// Path of the offending record.
-        path: PathBuf,
-        /// The decoder's verdict.
-        source: CanonError,
     },
 }
 
@@ -95,9 +87,6 @@ impl fmt::Display for StoreError {
             Self::Io { path, source } => {
                 write!(f, "result store I/O at {}: {source}", path.display())
             }
-            Self::Corrupt { path, source } => {
-                write!(f, "corrupt store entry {}: {source}", path.display())
-            }
         }
     }
 }
@@ -106,7 +95,6 @@ impl std::error::Error for StoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Self::Io { source, .. } => Some(source),
-            Self::Corrupt { source, .. } => Some(source),
         }
     }
 }
@@ -604,16 +592,9 @@ impl ResultStore {
         })
     }
 
-    /// Inserts into the memory tier only — the bundle importer's entry
-    /// point for ephemeral stores, where there is no disk slot to
-    /// publish into.
-    pub(crate) fn insert_memory(&self, key: SimKey, result: &SimResult) {
-        self.tiers().lru.insert(key, result.clone());
-    }
-
     /// One publish attempt: fsynced tempfile, atomic rename, directory
     /// fsync — all through the [`StoreIo`] seam.
-    pub(crate) fn try_publish(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+    fn try_publish(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
         // Entry paths are always `<dir>/<shard>/<key>.bin`, so a parent
         // exists; a path without one degrades like any other publish
         // failure instead of killing the caller.
@@ -838,6 +819,21 @@ mod tests {
         assert_eq!(store.disk_entries(), 0, "quarantine is not an entry");
 
         // Self-heal: publish again, and a cold reopen sees a good record.
+        store.put(key, &result);
+        let cold = ResultStore::open(&dir).unwrap();
+        assert_eq!(cold.get(key), Some(result.clone()));
+
+        // A record from another engine generation (say, a copied root)
+        // with an intact checksum is refused by its version check alone.
+        let mut foreign = fs::read(&path).unwrap();
+        foreign[8..12].copy_from_slice(&(lowvcc_core::ENGINE_SEMANTICS_VERSION + 1).to_le_bytes());
+        let body = foreign.len() - 8;
+        let sum = fnv1a_64(&foreign[..body]);
+        foreign[body..].copy_from_slice(&sum.to_le_bytes());
+        fs::write(&path, &foreign).unwrap();
+        let store = ResultStore::open(&dir).unwrap();
+        assert_eq!(store.get(key), None);
+        assert_eq!(store.stats().quarantined, 1);
         store.put(key, &result);
         let cold = ResultStore::open(&dir).unwrap();
         assert_eq!(cold.get(key), Some(result));

@@ -345,32 +345,6 @@ pub fn encode_trace_spec(w: &mut CanonWriter, spec: &TraceSpec) {
 pub struct SimKey(u128);
 
 impl SimKey {
-    /// The raw 128-bit value.
-    #[must_use]
-    pub fn value(self) -> u128 {
-        self.0
-    }
-
-    /// Reconstructs a key from its raw 128-bit value — the inverse of
-    /// [`SimKey::value`]. Used when a key round-trips through an
-    /// external representation (a bundle file, an admin command line)
-    /// rather than being derived from simulation inputs.
-    #[must_use]
-    pub fn from_value(value: u128) -> Self {
-        Self(value)
-    }
-
-    /// Parses the lower-case 32-character hex rendering produced by
-    /// [`SimKey::to_hex`]. Rejects anything that is not exactly 32 hex
-    /// digits, so a malformed wire key can never alias a real one.
-    #[must_use]
-    pub fn from_hex(hex: &str) -> Option<Self> {
-        if hex.len() != 32 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
-            return None;
-        }
-        u128::from_str_radix(hex, 16).ok().map(Self)
-    }
-
     /// Lower-case 32-character hex rendering (the on-disk file stem).
     #[must_use]
     pub fn to_hex(self) -> String {
@@ -618,18 +592,6 @@ mod tests {
         assert_eq!(k.to_hex().len(), 32);
         assert_eq!(k.to_hex(), format!("{k}"));
         assert!(k.to_hex().chars().all(|c| c.is_ascii_hexdigit()));
-    }
-
-    #[test]
-    fn keys_round_trip_through_value_and_hex() {
-        let k = sim_key(&cfg(500, Mechanism::Iraw), &spec());
-        assert_eq!(SimKey::from_value(k.value()), k);
-        assert_eq!(SimKey::from_hex(&k.to_hex()), Some(k));
-        // Anything that is not exactly 32 hex digits is rejected.
-        assert_eq!(SimKey::from_hex(""), None);
-        assert_eq!(SimKey::from_hex("abc"), None);
-        assert_eq!(SimKey::from_hex(&"0".repeat(33)), None);
-        assert_eq!(SimKey::from_hex(&format!("{}g", "0".repeat(31))), None);
     }
 
     #[test]

@@ -53,8 +53,8 @@ pub use config::{CoreConfig, Mechanism, SimConfig};
 pub use error::{ConfigError, SimError};
 pub use iraw::{IrawController, IrawSettings};
 pub use perf::{
-    compare_mechanisms, compare_mechanisms_with, run_batch_groups, run_suite, run_suite_batch,
-    speedup, MechanismComparison, Parallelism, Speedup, SuiteResult,
+    compare_mechanisms, run_batch_groups, run_suite, run_suite_batch, speedup, MechanismComparison,
+    Parallelism, Speedup, SuiteResult,
 };
 pub use sim::Simulator;
 pub use stats::{BranchStats, SimResult, SimStats, StallBreakdown};

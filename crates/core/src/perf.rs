@@ -295,24 +295,8 @@ pub fn compare_mechanisms(
     vcc: Millivolts,
     traces: &[Trace],
 ) -> Result<MechanismComparison, SimError> {
-    compare_mechanisms_with(core, timing, vcc, traces, Parallelism::sequential())
-}
-
-/// Runs both mechanisms over the suite at `vcc`, each suite fanned out
-/// across `par` workers. Output is identical for any `par`.
-///
-/// # Errors
-///
-/// Propagates simulation errors.
-pub fn compare_mechanisms_with(
-    core: CoreConfig,
-    timing: &CycleTimeModel,
-    vcc: Millivolts,
-    traces: &[Trace],
-    par: Parallelism,
-) -> Result<MechanismComparison, SimError> {
     let (base_cfg, iraw_cfg) = SimConfig::mechanism_pair(core, timing, vcc);
-    let mut suites = run_suite_batch(&[base_cfg, iraw_cfg], traces, par)?;
+    let mut suites = run_suite_batch(&[base_cfg, iraw_cfg], traces, Parallelism::sequential())?;
     let iraw = suites.pop().expect("two configs in, two suites out");
     let baseline = suites.pop().expect("two configs in, two suites out");
     let speedup = speedup(&iraw, &baseline);

@@ -3,7 +3,7 @@
 //! ```text
 //! lowvcc-serve [--suite quick|standard|paper|NxLEN] [--cache DIR]
 //!              [--jobs N] [--threads N] [--max-connections N]
-//!              [--addr HOST:PORT] [--warm] [--warm-bundle FILE]
+//!              [--addr HOST:PORT] [--warm]
 //! ```
 //!
 //! Defaults: quick suite, in-memory store, all hardware threads for
@@ -19,10 +19,7 @@
 //! table1/stalls queries) are cache hits from the first request;
 //! non-default table1/stalls voltages simulate once on demand.
 //! `--cache DIR` shares the store with `experiments --cache DIR` —
-//! either can warm it for the other. `--warm-bundle FILE` imports an
-//! LVCB warm-cache bundle (produced by `lowvcc-store export`) into the
-//! store before serving, so a freshly provisioned daemon answers warm
-//! from the first request.
+//! either can warm it for the other.
 
 use std::net::TcpListener;
 use std::path::PathBuf;
@@ -34,8 +31,7 @@ use lowvcc_core::Parallelism;
 use lowvcc_serve::{Daemon, ServeOptions};
 
 const USAGE: &str = "usage: lowvcc-serve [--suite quick|standard|paper|NxLEN] [--cache DIR] \
-                     [--jobs N] [--threads N] [--max-connections N] [--addr HOST:PORT] [--warm] \
-                     [--warm-bundle FILE]";
+                     [--jobs N] [--threads N] [--max-connections N] [--addr HOST:PORT] [--warm]";
 
 #[derive(Debug)]
 struct Options {
@@ -45,7 +41,6 @@ struct Options {
     serve: ServeOptions,
     addr: String,
     warm: bool,
-    warm_bundle: Option<PathBuf>,
     help: bool,
 }
 
@@ -57,7 +52,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String>
         serve: ServeOptions::default(),
         addr: "127.0.0.1:0".to_string(),
         warm: false,
-        warm_bundle: None,
         help: false,
     };
     let mut args = args.into_iter();
@@ -74,10 +68,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String>
             "--addr" => match args.next() {
                 Some(v) => o.addr = v,
                 None => return Err("--addr needs a value".into()),
-            },
-            "--warm-bundle" => match args.next() {
-                Some(v) => o.warm_bundle = Some(PathBuf::from(v)),
-                None => return Err("--warm-bundle needs a file path".into()),
             },
             "--jobs" => match args.next().map(|v| v.parse::<usize>()) {
                 Some(Ok(n)) if n > 0 => o.jobs = n,
@@ -118,16 +108,6 @@ fn run() -> Result<(), String> {
         Some(dir) => ResultStore::open(dir).map_err(|e| e.to_string())?,
         None => ResultStore::ephemeral(),
     };
-    if let Some(bundle) = &opts.warm_bundle {
-        let report = store.import_bundle(bundle).map_err(|e| e.to_string())?;
-        eprintln!(
-            "warm bundle {}: {} imported, {} already present, {} quarantined",
-            bundle.display(),
-            report.imported,
-            report.already_present,
-            report.quarantined
-        );
-    }
     let daemon = Daemon::new(ctx.with_cache(Arc::new(store)));
     if opts.warm {
         eprintln!("warming the store (full sweep grid + Table 1 + stall study)…");
@@ -189,7 +169,6 @@ mod tests {
         assert_eq!(o.serve, ServeOptions::default());
         assert_eq!(o.addr, "127.0.0.1:0");
         assert!(!o.warm);
-        assert_eq!(o.warm_bundle, None);
         assert!(!o.help);
     }
 
@@ -209,8 +188,6 @@ mod tests {
             "--addr",
             "127.0.0.1:7000",
             "--warm",
-            "--warm-bundle",
-            "w.lvcb",
             "--help",
         ])
         .unwrap();
@@ -220,7 +197,6 @@ mod tests {
         assert_eq!((o.serve.threads, o.serve.max_connections), (2, 9));
         assert_eq!(o.addr, "127.0.0.1:7000");
         assert!(o.warm && o.help);
-        assert_eq!(o.warm_bundle, Some(PathBuf::from("w.lvcb")));
     }
 
     #[test]
@@ -229,7 +205,6 @@ mod tests {
             "--suite",
             "--cache",
             "--addr",
-            "--warm-bundle",
             "--jobs",
             "--threads",
             "--max-connections",
@@ -249,7 +224,12 @@ mod tests {
 
     #[test]
     fn fleet_flags_are_unknown_arguments() {
-        for args in [["--shards", "2"], ["--route", "a:1"], ["--peers", "a:1"]] {
+        for args in [
+            ["--shards", "2"],
+            ["--route", "a:1"],
+            ["--peers", "a:1"],
+            ["--warm-bundle", "w.lvcb"],
+        ] {
             let err = parse(&args).unwrap_err();
             assert!(
                 err.starts_with(&format!("unknown argument {}\n{USAGE}", args[0])),
