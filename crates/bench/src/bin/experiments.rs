@@ -21,7 +21,10 @@
 //! content-addressed result store rooted at DIR: a warm re-run answers
 //! every figure from the store (the trailing `cache:` stats line reports
 //! `0 simulated`) yet writes byte-identical CSV artifacts. The same DIR
-//! can back a running `lowvcc-serve` daemon. Timing and per-layer
+//! can back a running `lowvcc-serve` daemon. The `engine:` stderr line
+//! reports the (machine, trace) runs the engine made against the
+//! (configuration, trace) runs requested: configurations that project to
+//! the same machine are simulated once (`folded`). Timing and per-layer
 //! measurements live in the standalone `perfbench` package.
 
 use std::fmt;
@@ -205,6 +208,10 @@ fn main() -> ExitCode {
                 summary.sweep_uops,
                 summary.sweep_elapsed,
                 summary.uops_per_second() / 1e6
+            );
+            eprintln!(
+                "engine: {} runs for {} requested ({} folded)",
+                summary.engine_runs, summary.requested_runs, summary.folded_runs
             );
             eprintln!("CSV files written under {}", cli.out.display());
             if let Some(store) = &cli.store {

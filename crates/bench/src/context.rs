@@ -4,8 +4,8 @@
 use std::sync::Arc;
 
 use lowvcc_core::{
-    run_batch_groups, run_suite_batch, sim_key, speedup, CoreConfig, MechanismComparison,
-    Parallelism, SimConfig, SimResult, SuiteResult,
+    fold_machines, run_batch_groups, run_suite_batch, sim_key, speedup, CoreConfig,
+    MechanismComparison, Parallelism, SimConfig, SimError, SimResult, SuiteResult,
 };
 
 use crate::error::ExperimentError;
@@ -229,20 +229,24 @@ impl ExperimentContext {
     }
 
     /// Runs every configuration over the whole suite, batched per trace:
-    /// each trace is decoded once and all of `cfgs` replay it back to
-    /// back through a reused engine workspace. Returns one
-    /// [`SuiteResult`] per configuration, in `cfgs` order —
+    /// the configurations fold to their distinct machines
+    /// ([`fold_machines`]), each trace is decoded once per worker chunk,
+    /// and every machine replays it through a reused engine workspace.
+    /// Returns one [`SuiteResult`] per configuration, in `cfgs` order —
     /// byte-identical to a fresh simulator per (config, trace) pair (the
     /// `batch_vs_perpoint` suite asserts it).
     ///
-    /// With a cache, every (config, trace) key is answered from the store
-    /// where possible and only the misses are simulated (and then
-    /// stored). Output is bit-identical to the uncached run — the
-    /// determinism guarantee of DESIGN.md §6 is what makes keyed reuse
-    /// sound. Misses are batched **per trace**: one round groups every
-    /// missing configuration of a trace behind a single decode, so a cold
-    /// 13-point sweep decodes each trace once rather than once per
-    /// (config, trace) pair.
+    /// With a cache, every (machine, trace) key is answered from the
+    /// store where possible and only the misses are simulated (and then
+    /// stored). The key covers the machine, not the labels, so one
+    /// record serves every configuration that projects to it; a hit is
+    /// re-labelled with the requesting configuration's cycle time.
+    /// Output is bit-identical to the uncached run — the determinism
+    /// guarantee of DESIGN.md §6 is what makes keyed reuse sound. Misses
+    /// are batched **per trace**: one round groups every missing machine
+    /// of a trace behind a single decode, so a cold 13-point sweep
+    /// decodes each trace once rather than once per (config, trace)
+    /// pair.
     ///
     /// Misses go through the store's **single-flight** layer: this call
     /// simulates only the keys it claims leadership of (as one parallel
@@ -254,11 +258,12 @@ impl ExperimentContext {
     ///
     /// # Errors
     ///
-    /// Propagates simulation failures. The cache itself never errors a
-    /// run: corrupt or unreadable entries are quarantined and
-    /// re-simulated, and publish failures degrade the store to
-    /// memory-only (see `store.rs`) — so output stays byte-identical
-    /// even on a failing disk.
+    /// Propagates the first invalid configuration (in `cfgs` order), then
+    /// simulation failures. The cache itself never errors a run: corrupt
+    /// or unreadable entries are quarantined and re-simulated, and
+    /// publish failures degrade the store to memory-only (see
+    /// `store.rs`) — so output stays byte-identical even on a failing
+    /// disk.
     ///
     /// # Panics
     ///
@@ -277,37 +282,42 @@ impl ExperimentContext {
             self.suite.len(),
             "ExperimentContext.specs must stay index-aligned with .suite"
         );
-        let mut slots: Vec<Vec<Option<(String, SimResult)>>> = cfgs
+        for cfg in cfgs {
+            cfg.validate().map_err(SimError::from)?;
+        }
+        let fold = fold_machines(cfgs);
+        // One representative configuration per distinct machine.
+        let machines: Vec<&SimConfig> = fold.distinct.iter().map(|&i| &cfgs[i]).collect();
+        let mut slots: Vec<Vec<Option<SimResult>>> = machines
             .iter()
             .map(|_| self.suite.iter().map(|_| None).collect())
             .collect();
         // Trace-major order, so one round's leaders arrive grouped by
         // trace and each group below shares a single decode.
         let mut unresolved: Vec<(usize, usize)> = (0..self.suite.len())
-            .flat_map(|t| (0..cfgs.len()).map(move |c| (t, c)))
+            .flat_map(|t| (0..machines.len()).map(move |m| (t, m)))
             .collect();
         while !unresolved.is_empty() {
             let mut leaders: Vec<(usize, usize, FlightGuard<'_>)> = Vec::new();
             let mut pending: Vec<(usize, usize, FlightWaiter)> = Vec::new();
-            for &(t, c) in &unresolved {
-                match store.lookup(sim_key(&cfgs[c], &self.specs[t])) {
-                    Flight::Hit(result) => {
-                        slots[c][t] = Some((self.suite[t].name.clone(), *result));
-                    }
-                    Flight::Lead(guard) => leaders.push((t, c, guard)),
-                    Flight::Pending(waiter) => pending.push((t, c, waiter)),
+            for &(t, m) in &unresolved {
+                match store.lookup(sim_key(machines[m], &self.specs[t])) {
+                    Flight::Hit(result) => slots[m][t] = Some(*result),
+                    Flight::Lead(guard) => leaders.push((t, m, guard)),
+                    Flight::Pending(waiter) => pending.push((t, m, waiter)),
                 }
             }
             if !leaders.is_empty() {
                 // Group this round's misses per *trace* (leaders are
                 // trace-major, so consecutive runs share an index):
-                // `run_batch_groups` then decodes each trace once for
-                // all of its missing configurations.
+                // `run_batch_groups` then decodes each trace once per
+                // chunk for all of its missing machines.
                 let mut groups: Vec<(usize, Vec<SimConfig>)> = Vec::new();
-                for (t, c, _) in &leaders {
+                for (t, m, _) in &leaders {
+                    let cfg = machines[*m].clone();
                     match groups.last_mut() {
-                        Some((ti, group)) if ti == t => group.push(cfgs[*c].clone()),
-                        _ => groups.push((*t, vec![cfgs[*c].clone()])),
+                        Some((ti, group)) if ti == t => group.push(cfg),
+                        _ => groups.push((*t, vec![cfg])),
                     }
                 }
                 store.note_simulated_uops(
@@ -320,31 +330,38 @@ impl ExperimentContext {
                 // waiter to re-arbitrate; the error propagates here.
                 let fresh = run_batch_groups(&groups, &self.suite, self.parallelism)?;
                 let results = fresh.into_iter().flatten();
-                for ((t, c, guard), result) in leaders.into_iter().zip(results) {
-                    store.put(sim_key(&cfgs[c], &self.specs[t]), &result);
+                for ((t, m, guard), result) in leaders.into_iter().zip(results) {
+                    store.put(sim_key(machines[m], &self.specs[t]), &result);
                     drop(guard); // publish: retires the flight, wakes waiters
-                    slots[c][t] = Some((self.suite[t].name.clone(), result));
+                    slots[m][t] = Some(result);
                 }
             }
             // A retired flight either published (next round hits) or was
             // abandoned by an erroring leader (next round claims it).
             unresolved = pending
                 .into_iter()
-                .map(|(t, c, waiter)| {
+                .map(|(t, m, waiter)| {
                     waiter.wait();
-                    (t, c)
+                    (t, m)
                 })
                 .collect();
         }
-        Ok(slots
-            .into_iter()
-            .map(|per_trace| SuiteResult {
-                per_trace: per_trace
-                    .into_iter()
-                    .map(|s| s.expect("every slot filled"))
-                    .collect(),
+        let mut suites: Vec<SuiteResult> = cfgs
+            .iter()
+            .map(|_| SuiteResult {
+                per_trace: Vec::with_capacity(self.suite.len()),
             })
-            .collect())
+            .collect();
+        for (t, trace) in self.suite.iter().enumerate() {
+            let per_machine: Vec<SimResult> = slots
+                .iter_mut()
+                .map(|per_trace| per_trace[t].take().expect("every slot filled"))
+                .collect();
+            for (suite, r) in suites.iter_mut().zip(fold.fan_out(cfgs, &per_machine)) {
+                suite.per_trace.push((trace.name.clone(), r));
+            }
+        }
+        Ok(suites)
     }
 
     /// Baseline-vs-IRAW comparison at `vcc` over the suite, as one

@@ -10,7 +10,7 @@
 //! total degradation due to IRAW stalls, which the per-block stall-cycle
 //! counters then apportion.
 
-use lowvcc_core::{Mechanism, SimConfig};
+use lowvcc_core::{Mechanism, SimConfig, SuiteResult};
 use lowvcc_sram::Millivolts;
 
 use crate::context::ExperimentContext;
@@ -37,37 +37,35 @@ pub struct StallReport {
     pub delayed_fraction: f64,
 }
 
+/// The paper's §5.2 reference voltage.
+pub const VCC: Millivolts = Millivolts::literal(575);
+
 /// Measures the attribution at 575 mV (the paper's reference point).
 ///
 /// # Errors
 ///
 /// Propagates simulation failures.
 pub fn measure(ctx: &ExperimentContext) -> Result<StallReport, ExperimentError> {
-    // Compile-time-validated grid anchor: the paper's 575 mV reference.
-    const STALL_REFERENCE: Millivolts = Millivolts::literal(575);
-    measure_at(ctx, STALL_REFERENCE)
+    measure_at(ctx, VCC)
 }
 
-/// Measures the attribution at an arbitrary voltage.
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn measure_at(
-    ctx: &ExperimentContext,
-    vcc: Millivolts,
-) -> Result<StallReport, ExperimentError> {
+/// The attribution's two configurations at `vcc`: the IRAW run and its
+/// stall-free reference at the identical clock with every IRAW mechanism
+/// off. The reference's machine differs from the IRAW run's only in
+/// `stabilization_cycles`, so it keys differently and the cache serves
+/// both.
+#[must_use]
+pub fn configs(ctx: &ExperimentContext, vcc: Millivolts) -> [SimConfig; 2] {
     let iraw_cfg = SimConfig::at_vcc(ctx.core, &ctx.timing, vcc, Mechanism::Iraw);
-    // Stall-free reference: identical clock, all IRAW mechanisms off.
-    // Keys differently from the IRAW run — `stabilization_cycles` is
-    // part of the canonical SimKey encoding — so the cache serves both.
     let mut free_cfg = iraw_cfg.clone();
     free_cfg.stabilization_cycles = 0;
+    [iraw_cfg, free_cfg]
+}
 
-    // One two-config batch: each trace is decoded once for both runs.
-    let mut suites = ctx.run_suite_batch(&[iraw_cfg, free_cfg])?;
-    let free = suites.pop().expect("two configs in, two suites out");
-    let iraw = suites.pop().expect("two configs in, two suites out");
+/// Assembles the report from the suites of [`configs`] (IRAW run, then
+/// stall-free reference).
+#[must_use]
+pub fn report_from(vcc: Millivolts, iraw: &SuiteResult, free: &SuiteResult) -> StallReport {
     let total_degradation = iraw.total_seconds() / free.total_seconds() - 1.0;
 
     let mut rf = 0u64;
@@ -83,7 +81,7 @@ pub fn measure_at(
     let total_cycles = (rf + iq + dl0 + other).max(1) as f64;
     let share = |x: u64| total_degradation * x as f64 / total_cycles;
 
-    Ok(StallReport {
+    StallReport {
         vcc,
         total_degradation,
         rf_share: share(rf),
@@ -91,16 +89,26 @@ pub fn measure_at(
         dl0_share: share(dl0),
         other_share: share(other),
         delayed_fraction: iraw.delayed_instruction_fraction(),
-    })
+    }
 }
 
-/// Formats the report as a table (and returns the raw report too).
+/// Measures the attribution at an arbitrary voltage, as one two-config
+/// batch: each trace is decoded once for both runs.
 ///
 /// # Errors
 ///
 /// Propagates simulation failures.
-pub fn table(ctx: &ExperimentContext) -> Result<(TextTable, StallReport), ExperimentError> {
-    let r = measure(ctx)?;
+pub fn measure_at(
+    ctx: &ExperimentContext,
+    vcc: Millivolts,
+) -> Result<StallReport, ExperimentError> {
+    let suites = ctx.run_suite_batch(&configs(ctx, vcc))?;
+    Ok(report_from(vcc, &suites[0], &suites[1]))
+}
+
+/// Formats a report as the §5.2 table.
+#[must_use]
+pub fn report_table(r: &StallReport) -> TextTable {
     let mut t = TextTable::new(vec!["quantity", "measured", "paper"]);
     t.row(vec![
         "total degradation from IRAW stalls".into(),
@@ -132,7 +140,18 @@ pub fn table(ctx: &ExperimentContext) -> Result<(TextTable, StallReport), Experi
         fnum(r.delayed_fraction * 100.0, 2) + "%",
         "13.2%".into(),
     ]);
-    Ok((t, r))
+    t
+}
+
+/// Measures the attribution at 575 mV and formats it as a table (and
+/// returns the raw report too).
+///
+/// # Errors
+///
+/// Propagates simulation failures.
+pub fn table(ctx: &ExperimentContext) -> Result<(TextTable, StallReport), ExperimentError> {
+    let r = measure(ctx)?;
+    Ok((report_table(&r), r))
 }
 
 #[cfg(test)]

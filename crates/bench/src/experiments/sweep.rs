@@ -123,26 +123,26 @@ pub fn point_from(ctx: &ExperimentContext, cmp: &MechanismComparison) -> SweepPo
     }
 }
 
-/// Runs the full baseline-vs-IRAW sweep over the paper's voltage grid in
-/// one batched pass: all 26 configurations (13 voltages × 2 mechanisms)
-/// go through [`ExperimentContext::run_suite_batch`], so every trace is
-/// decoded once for the whole grid and each worker's engine workspace is
-/// reused across all sweep points. Byte-identical to a fresh simulator
-/// per (config, trace) pair for any worker count — the
-/// `batch_vs_perpoint` suite asserts it.
-///
-/// # Errors
-///
-/// Propagates simulation and cache failures.
-pub fn run_sweep(ctx: &ExperimentContext) -> Result<Vec<SweepPoint>, ExperimentError> {
-    let cfgs: Vec<SimConfig> = PAPER_SWEEP
+/// The sweep's configurations: the (baseline, IRAW) pair at every
+/// voltage of the paper's grid, in grid order — 26 configurations, 21
+/// distinct machines (at 700–600 mV IRAW has `N = 0` and runs the
+/// baseline's machine).
+#[must_use]
+pub fn configs(ctx: &ExperimentContext) -> Vec<SimConfig> {
+    PAPER_SWEEP
         .iter()
         .flat_map(|vcc| {
             let (base, iraw) = SimConfig::mechanism_pair(ctx.core, &ctx.timing, vcc);
             [base, iraw]
         })
-        .collect();
-    let mut suites = ctx.run_suite_batch(&cfgs)?.into_iter();
+        .collect()
+}
+
+/// Assembles the sweep points from the suites of [`configs`], in the
+/// same order.
+#[must_use]
+pub fn points_from(ctx: &ExperimentContext, suites: Vec<SuiteResult>) -> Vec<SweepPoint> {
+    let mut suites = suites.into_iter();
     PAPER_SWEEP
         .iter()
         .map(|vcc| {
@@ -156,9 +156,24 @@ pub fn run_sweep(ctx: &ExperimentContext) -> Result<Vec<SweepPoint>, ExperimentE
                 frequency_gain: ctx.timing.frequency_gain(vcc),
                 speedup,
             };
-            Ok(point_from(ctx, &cmp))
+            point_from(ctx, &cmp)
         })
         .collect()
+}
+
+/// Runs the full baseline-vs-IRAW sweep over the paper's voltage grid in
+/// one batched pass: all of [`configs`] go through
+/// [`ExperimentContext::run_suite_batch`], so every trace is decoded once
+/// per worker chunk, each distinct machine runs once, and each worker's
+/// engine workspace is reused across all sweep points. Byte-identical
+/// to a fresh simulator per (config, trace) pair for any worker count —
+/// the `batch_vs_perpoint` suite asserts it.
+///
+/// # Errors
+///
+/// Propagates simulation and cache failures.
+pub fn run_sweep(ctx: &ExperimentContext) -> Result<Vec<SweepPoint>, ExperimentError> {
+    Ok(points_from(ctx, ctx.run_suite_batch(&configs(ctx))?))
 }
 
 /// Renders one sweep point as a JSON object — shared by the `--json`

@@ -38,8 +38,9 @@ pub fn qualitative() -> TextTable {
 
 /// Measured rows at `vcc` over the context suite, as **one batch**: all
 /// technique configurations replay each trace behind a single decode via
-/// [`ExperimentContext::run_suite_batch`]. Through the result cache each
-/// technique's `SimConfig` still keys its own suite run, so a warm
+/// [`ExperimentContext::run_suite_batch`]. Each distinct machine runs
+/// once — at 500 mV "faulty bits (caches only)" disables no line and
+/// runs the baseline's machine — and through the result cache a warm
 /// Table 1 performs zero simulations (and shares the baseline run with
 /// the sweep at the same voltage).
 ///
@@ -84,15 +85,16 @@ pub fn rows_table(rows: &[QuantRow]) -> TextTable {
     t
 }
 
-/// Measured comparison at 500 mV over the context suite.
+/// The voltage of the measured companion (500 mV).
+pub const VCC: Millivolts = Millivolts::literal(500);
+
+/// Measured comparison at [`VCC`] over the context suite.
 ///
 /// # Errors
 ///
 /// Propagates simulation failures.
 pub fn quantitative(ctx: &ExperimentContext) -> Result<TextTable, ExperimentError> {
-    const VCC: Millivolts = Millivolts::literal(500);
-    let vcc = VCC;
-    Ok(rows_table(&quantitative_rows_at(ctx, vcc)?))
+    Ok(rows_table(&quantitative_rows_at(ctx, VCC)?))
 }
 
 #[cfg(test)]

@@ -59,23 +59,31 @@ impl EngineWorkspace {
         Self { engine: None }
     }
 
-    /// Runs `cfg` over an already-decoded trace, reusing the previous
-    /// run's engine storage when the core geometry matches (the common
-    /// sweep case — only Vcc/mechanism parameters change) and falling
-    /// back to a fresh construction otherwise.
+    /// Runs `cfg` over an already-decoded trace: validates it, simulates
+    /// its [`machine`](SimConfig::machine), and attaches its cycle time.
+    /// Reuses the previous run's engine storage when the core geometry
+    /// matches (the common sweep case — only Vcc/mechanism parameters
+    /// change) and falls back to a fresh construction otherwise.
     ///
     /// # Errors
     ///
     /// Propagates configuration validation and simulation errors.
     pub fn run(&mut self, cfg: &SimConfig, trace: &TraceArena) -> Result<SimResult, SimError> {
+        cfg.validate()?;
+        let machine = cfg.machine();
         match &mut self.engine {
-            Some(engine) if engine.config().core == cfg.core => engine.reset(cfg.clone())?,
-            slot => *slot = Some(Engine::new(cfg.clone())?),
+            Some(engine) if engine.machine().core == machine.core => engine.reset(&machine)?,
+            slot => *slot = Some(Engine::new(&machine)?),
         }
-        self.engine
+        let stats = self
+            .engine
             .as_mut()
             .expect("engine installed above")
-            .run(trace)
+            .run(trace)?;
+        Ok(SimResult {
+            stats,
+            cycle_time: cfg.cycle_time,
+        })
     }
 }
 

@@ -1,10 +1,11 @@
 //! Canonical byte encodings, the content-addressed [`SimKey`], and the
 //! on-disk [`SimResult`] codec behind the result cache.
 //!
-//! The simulator is deterministic (DESIGN.md §6): a run is a pure
-//! function of `(SimConfig, TraceSpec)`. That makes keyed reuse sound —
-//! two runs with the same canonical encoding of their inputs produce
-//! bit-identical [`SimStats`]. This module defines
+//! The simulator is deterministic (DESIGN.md §6): a run's statistics are
+//! a pure function of `(Machine, TraceSpec)`, where the [`Machine`] is
+//! the part of a `SimConfig` the engine reads. That makes keyed reuse
+//! sound — two runs with the same canonical encoding of their inputs
+//! produce bit-identical [`SimStats`]. This module defines
 //!
 //! * a **canonical encoding** of every simulation input (fixed field
 //!   order, fixed-width little-endian integers, `f64` as IEEE-754 bits,
@@ -26,10 +27,10 @@ use lowvcc_trace::TraceSpec;
 use lowvcc_uarch::cache::CacheConfig;
 use lowvcc_uarch::replacement::Policy;
 
-use crate::config::{CoreConfig, Mechanism, SimConfig};
+use crate::config::{CoreConfig, Machine, SimConfig};
 use crate::stats::{BranchStats, SimResult, SimStats, StallBreakdown};
 
-/// Version of the engine's *semantics* — what a `(SimConfig, TraceSpec)`
+/// Version of the engine's *semantics* — what a `(Machine, TraceSpec)`
 /// pair means in cycles and stall attribution. Bump this whenever a
 /// change alters simulation output for some input (a new stall source, a
 /// fixed latency, a different replacement decision…); every [`SimKey`]
@@ -284,25 +285,21 @@ fn encode_core_config(w: &mut CanonWriter, c: &CoreConfig) {
     w.f64(c.memory_latency_ns);
 }
 
-/// Canonically encodes every simulation input of `cfg` — including the
-/// derived cycle time, the stabilization count and the baseline-specific
-/// knobs, so e.g. the stall-free reference run (same clock, `N = 0`)
-/// keys differently from the IRAW run it shadows.
-pub fn encode_sim_config(w: &mut CanonWriter, cfg: &SimConfig) {
-    encode_core_config(w, &cfg.core);
-    w.u32(cfg.vcc.millivolts());
-    w.u8(match cfg.mechanism {
-        Mechanism::Baseline => 0,
-        Mechanism::Iraw => 1,
-        Mechanism::IdealLogic => 2,
-    });
-    w.f64(cfg.cycle_time.picos());
-    w.u32(cfg.stabilization_cycles);
-    w.u32(cfg.extra_write_port_cycles);
-    w.usize(cfg.disabled_lines.0);
-    w.usize(cfg.disabled_lines.1);
-    w.usize(cfg.disabled_lines.2);
-    w.u64(cfg.fault_seed);
+/// Canonically encodes a [`Machine`] — the engine's entire input. Labels
+/// (`vcc`, `mechanism`) and the cycle time are not part of it: they
+/// never change [`SimStats`], so one record serves every label of a
+/// machine. Every field the engine does read is, so e.g. the stall-free
+/// reference run (same clock, `N = 0`) keys differently from the IRAW
+/// run it shadows.
+pub fn encode_machine(w: &mut CanonWriter, m: &Machine) {
+    encode_core_config(w, &m.core);
+    w.u32(m.stabilization_cycles);
+    w.u64(m.memory_latency_cycles);
+    w.u32(m.extra_write_port_cycles);
+    w.usize(m.disabled_lines.0);
+    w.usize(m.disabled_lines.1);
+    w.usize(m.disabled_lines.2);
+    w.u64(m.fault_seed);
 }
 
 /// Canonically encodes a trace *specification* (family, seed, length) —
@@ -317,8 +314,9 @@ pub fn encode_trace_spec(w: &mut CanonWriter, spec: &TraceSpec) {
 // --- SimKey ---------------------------------------------------------------
 
 /// Content address of one simulation: a 128-bit FNV-1a over the
-/// canonical encoding of `(engine semantics version, SimConfig,
-/// TraceSpec)`.
+/// canonical encoding of `(engine semantics version, Machine,
+/// TraceSpec)`, where the [`Machine`] is the configuration's
+/// [`SimConfig::machine`] projection.
 ///
 /// ```
 /// use lowvcc_core::{sim_key, CoreConfig, Mechanism, SimConfig};
@@ -358,13 +356,14 @@ impl fmt::Display for SimKey {
     }
 }
 
-/// Computes the [`SimKey`] of running `spec` under `cfg`.
+/// Computes the [`SimKey`] of running `spec` under `cfg`: configurations
+/// with the same [`SimConfig::machine`] share a key.
 #[must_use]
 pub fn sim_key(cfg: &SimConfig, spec: &TraceSpec) -> SimKey {
     let mut w = CanonWriter::new();
     w.str("lowvcc-simkey");
     w.u32(ENGINE_SEMANTICS_VERSION);
-    encode_sim_config(&mut w, cfg);
+    encode_machine(&mut w, &cfg.machine());
     encode_trace_spec(&mut w, spec);
     SimKey(fnv1a_128(w.bytes()))
 }
@@ -535,6 +534,7 @@ pub fn decode_sim_result(bytes: &[u8]) -> Result<SimResult, CanonError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Mechanism;
     use lowvcc_sram::voltage::mv;
     use lowvcc_sram::CycleTimeModel;
     use lowvcc_trace::WorkloadFamily;

@@ -262,6 +262,28 @@ impl SimConfig {
         (self.core.memory_latency_ns * 1000.0 / self.cycle_time.picos()).ceil() as u64
     }
 
+    /// The machine this configuration simulates: everything the engine
+    /// reads, and nothing it does not. Two configurations with equal
+    /// machines produce identical [`SimStats`](crate::SimStats); they
+    /// differ only in the labels (`vcc`, `mechanism`) and in the
+    /// `cycle_time` that scales cycles to seconds.
+    #[must_use]
+    pub fn machine(&self) -> Machine {
+        Machine {
+            core: self.core,
+            stabilization_cycles: self.stabilization_cycles,
+            memory_latency_cycles: self.memory_latency_cycles(),
+            extra_write_port_cycles: self.extra_write_port_cycles,
+            disabled_lines: self.disabled_lines,
+            // The fault map is drawn only when some line is disabled.
+            fault_seed: if self.disabled_lines == (0, 0, 0) {
+                0
+            } else {
+                self.fault_seed
+            },
+        }
+    }
+
     /// Whether any IRAW avoidance hardware is active.
     #[must_use]
     pub fn iraw_active(&self) -> bool {
@@ -278,27 +300,69 @@ impl SimConfig {
         if self.cycle_time.picos() <= 0.0 {
             return Err(ConfigError::NonPositiveCycleTime);
         }
-        // Every short-latency producer pattern must fit the shift register
-        // with a trailing ready bit: latency + bypass + N < width. Longer
-        // producers (divides, load misses) use completion events instead.
-        let max_short = self
-            .core
-            .lat_alu
-            .max(self.core.lat_mul)
-            .max(self.core.lat_fp_add)
-            .max(self.core.lat_fp_mul)
-            .max(self.core.lat_dl0_hit);
-        if max_short + self.core.bypass_levels + self.stabilization_cycles
-            >= self.core.scoreboard_width
-        {
-            return Err(ConfigError::ScoreboardTooNarrow {
-                width: self.core.scoreboard_width,
-                max_latency: max_short,
-                bypass_levels: self.core.bypass_levels,
-                stabilization_cycles: self.stabilization_cycles,
-            });
-        }
-        Ok(())
+        check_scoreboard_fit(&self.core, self.stabilization_cycles)
+    }
+}
+
+/// Every short-latency producer pattern must fit the shift register with
+/// a trailing ready bit: latency + bypass + N < width. Longer producers
+/// (divides, load misses) use completion events instead.
+fn check_scoreboard_fit(core: &CoreConfig, stabilization_cycles: u32) -> Result<(), ConfigError> {
+    let max_short = core
+        .lat_alu
+        .max(core.lat_mul)
+        .max(core.lat_fp_add)
+        .max(core.lat_fp_mul)
+        .max(core.lat_dl0_hit);
+    if max_short + core.bypass_levels + stabilization_cycles >= core.scoreboard_width {
+        return Err(ConfigError::ScoreboardTooNarrow {
+            width: core.scoreboard_width,
+            max_latency: max_short,
+            bypass_levels: core.bypass_levels,
+            stabilization_cycles,
+        });
+    }
+    Ok(())
+}
+
+/// The engine's entire input, projected from a [`SimConfig`] by
+/// [`SimConfig::machine`]. [`Engine`](crate::pipeline::Engine) is built
+/// from a `Machine` alone, so the compiler proves the engine never reads
+/// `vcc`, `mechanism` or `cycle_time`. That makes the machine the unit
+/// of simulation: the suite runner runs each distinct machine once, and
+/// the result store keys on it (DESIGN.md §6–§7).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Machine {
+    /// Machine parameters.
+    pub core: CoreConfig,
+    /// Stabilization cycles `N` (0 disables every IRAW mechanism).
+    pub stabilization_cycles: u32,
+    /// Off-chip memory latency in cycles at the run's clock.
+    pub memory_latency_cycles: u64,
+    /// Extra cycles each register-file write occupies its write port.
+    pub extra_write_port_cycles: u32,
+    /// Cache lines disabled per cache, as `(il0, dl0, ul1)`.
+    pub disabled_lines: (usize, usize, usize),
+    /// Seed for fault-map placement; 0 when no line is disabled.
+    pub fault_seed: u64,
+}
+
+impl Machine {
+    /// Whether any IRAW avoidance hardware is active.
+    #[must_use]
+    pub fn iraw_active(&self) -> bool {
+        self.stabilization_cycles > 0
+    }
+
+    /// Validates the machine: the [`SimConfig::validate`] checks that do
+    /// not involve the clock.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`CoreConfig::validate`] and the scoreboard-fit check.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        self.core.validate()?;
+        check_scoreboard_fit(&self.core, self.stabilization_cycles)
     }
 }
 

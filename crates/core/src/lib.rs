@@ -49,12 +49,12 @@ pub use batch::{run_batch, EngineWorkspace};
 pub use canon::{
     decode_sim_result, encode_sim_result, sim_key, CanonError, SimKey, ENGINE_SEMANTICS_VERSION,
 };
-pub use config::{CoreConfig, Mechanism, SimConfig};
+pub use config::{CoreConfig, Machine, Mechanism, SimConfig};
 pub use error::{ConfigError, SimError};
 pub use iraw::{IrawController, IrawSettings};
 pub use perf::{
-    compare_mechanisms, run_batch_groups, run_suite, run_suite_batch, speedup, MechanismComparison,
-    Parallelism, Speedup, SuiteResult,
+    compare_mechanisms, fold_machines, run_batch_groups, run_suite, run_suite_batch, speedup,
+    MachineFold, MechanismComparison, Parallelism, Speedup, SuiteResult,
 };
 pub use sim::Simulator;
 pub use stats::{BranchStats, SimResult, SimStats, StallBreakdown};

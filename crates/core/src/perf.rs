@@ -1,24 +1,30 @@
 //! Multi-trace aggregation and mechanism comparison (the machinery behind
 //! Figure 11b's "performance gains" series).
 //!
-//! Suites are embarrassingly parallel — every (config, trace) pair is an
-//! independent, deterministic simulation — so [`run_batch_groups`] fans
-//! one work item per trace out over a [`Parallelism`]-sized pool of
-//! scoped threads, each replaying all of that trace's configurations
-//! behind a single decode. Results are reassembled in suite order,
-//! making the output byte-identical for any thread count (including
-//! errors: the reported error is the first in suite order, not the first
-//! in wall-clock order).
+//! The unit of simulation is the [`Machine`], not the labelled
+//! [`SimConfig`]: [`run_suite_batch`] folds the requested configurations
+//! to their distinct machines ([`fold_machines`]), simulates each once,
+//! and fans the results back out with every configuration's own cycle
+//! time. Suites are embarrassingly parallel — every (machine, trace)
+//! pair is an independent, deterministic simulation — so
+//! [`run_batch_groups`] splits each trace's machines into contiguous
+//! chunks, one per worker, and fans the chunks out over a
+//! [`Parallelism`]-sized pool of scoped threads, each chunk replaying
+//! its machines behind a single decode. Results are reassembled in suite
+//! order, making the output byte-identical for any thread count
+//! (including errors: the reported error is the first in suite order,
+//! not the first in wall-clock order).
 
 use std::borrow::Borrow;
 use std::num::NonZeroUsize;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use lowvcc_sram::{CycleTimeModel, Millivolts};
 use lowvcc_trace::{Trace, TraceArena};
 
 use crate::batch::{run_batch, EngineWorkspace};
-use crate::config::{CoreConfig, SimConfig};
+use crate::config::{CoreConfig, Machine, SimConfig};
 use crate::error::SimError;
 use crate::stats::SimResult;
 
@@ -136,14 +142,75 @@ pub fn run_suite(cfg: &SimConfig, traces: &[Trace]) -> Result<SuiteResult, SimEr
     Ok(suites.pop().expect("one config in, one suite out"))
 }
 
+/// Configurations folded to the distinct machines they simulate.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MachineFold {
+    /// Per distinct machine, in first-seen order: the index of the first
+    /// configuration that projects to it.
+    pub distinct: Vec<usize>,
+    /// Per configuration: the index of its machine in `distinct`.
+    pub machine_of: Vec<usize>,
+}
+
+impl MachineFold {
+    /// Fans one trace's per-machine results (in `distinct` order) back
+    /// out to one result per configuration, each carrying that
+    /// configuration's own cycle time.
+    #[must_use]
+    pub fn fan_out(&self, cfgs: &[SimConfig], per_machine: &[SimResult]) -> Vec<SimResult> {
+        cfgs.iter()
+            .zip(&self.machine_of)
+            .map(|(cfg, &m)| SimResult {
+                stats: per_machine[m].stats.clone(),
+                cycle_time: cfg.cycle_time,
+            })
+            .collect()
+    }
+}
+
+/// Folds `cfgs` to their distinct [`SimConfig::machine`]s in first-seen
+/// order — the one fold the suite runner, the result cache and the run
+/// accounting share. Configurations with equal machines differ only in
+/// labels and clock, so one simulation serves them all.
+#[must_use]
+pub fn fold_machines(cfgs: &[SimConfig]) -> MachineFold {
+    let mut machines: Vec<Machine> = Vec::new();
+    let mut distinct = Vec::new();
+    let machine_of = cfgs
+        .iter()
+        .enumerate()
+        .map(|(i, cfg)| {
+            let machine = cfg.machine();
+            machines
+                .iter()
+                .position(|m| *m == machine)
+                .unwrap_or_else(|| {
+                    machines.push(machine);
+                    distinct.push(i);
+                    machines.len() - 1
+                })
+        })
+        .collect();
+    MachineFold {
+        distinct,
+        machine_of,
+    }
+}
+
 /// Runs each group's configurations over its trace, decoding every trace
-/// once and reusing one [`EngineWorkspace`] per worker — the one suite
-/// runner every other entry point builds on. Work is parallelised over
-/// *groups* (one per trace) instead of (config, trace) pairs so a
-/// decoded arena stays hot in cache across all of its sweep points.
+/// once per chunk and reusing one [`EngineWorkspace`] per worker — the
+/// one suite runner every other entry point builds on.
 ///
 /// `groups` pairs an index into `traces` with the configurations to run
-/// on it. Results come back in group order, each `Vec` in config order.
+/// on it. With `w > 1` workers, each group of ≥2 configurations is split
+/// into `w` contiguous chunks (fewer if it is shorter), and the chunks
+/// are scheduled chunk-major: every group's first chunk, then every
+/// group's second, and so on. A decoded arena stays hot in cache across
+/// a chunk's configurations, while the chunks keep every worker busy
+/// until the end of the batch. With one worker each group runs whole, in
+/// order, in the calling thread.
+///
+/// Results come back in group order, each `Vec` in config order.
 /// Deterministic for any `par`, including which error is reported: the
 /// lowest group index, then the lowest config index within it.
 ///
@@ -155,7 +222,14 @@ pub fn run_batch_groups<T: Borrow<Trace> + Sync>(
     traces: &[T],
     par: Parallelism,
 ) -> Result<Vec<Vec<SimResult>>, SimError> {
-    let workers = par.count().min(groups.len());
+    // Work items in (group, config) order; an item's index is its rank.
+    let mut items: Vec<(usize, usize, Range<usize>)> = Vec::new();
+    for (g, (_, cfgs)) in groups.iter().enumerate() {
+        let chunks = par.count().min(cfgs.len()).max(1);
+        let n = cfgs.len();
+        items.extend((0..chunks).map(|c| (g, c, c * n / chunks..(c + 1) * n / chunks)));
+    }
+    let workers = par.count().min(items.len());
     if workers <= 1 {
         let mut ws = EngineWorkspace::new();
         let mut out = Vec::with_capacity(groups.len());
@@ -165,12 +239,15 @@ pub fn run_batch_groups<T: Borrow<Trace> + Sync>(
         }
         return Ok(out);
     }
-    // Work-stealing over the group list: each worker claims the next
-    // unclaimed index and tags its results with it, so the merged output
-    // is reassembled in group order regardless of completion order.
-    // `first_err` lets workers stop claiming groups *after* a known
-    // failure — indices below it always complete, so the group-order
-    // error choice stays deterministic while the tail is cancelled.
+    let mut order: Vec<usize> = (0..items.len()).collect();
+    order.sort_by_key(|&rank| items[rank].1);
+    // Work-stealing over the chunk-major order: each worker claims the
+    // next unclaimed item and tags its results with the item's rank, so
+    // the merged output is reassembled in (group, config) order
+    // regardless of completion order. `first_err` (the lowest failing
+    // rank) lets workers skip items ranked *after* a known failure —
+    // items ranked below it always complete, so the error choice stays
+    // deterministic while the tail is cancelled.
     let next = AtomicUsize::new(0);
     let first_err = AtomicUsize::new(usize::MAX);
     let mut tagged: Vec<(usize, Result<Vec<SimResult>, SimError>)> = std::thread::scope(|scope| {
@@ -178,21 +255,19 @@ pub fn run_batch_groups<T: Borrow<Trace> + Sync>(
             .map(|_| {
                 scope.spawn(|| {
                     let mut ws = EngineWorkspace::new();
-                    let mut out = Vec::with_capacity(groups.len());
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some((ti, cfgs)) = groups.get(i) else {
-                            break;
-                        };
-                        if i > first_err.load(Ordering::Relaxed) {
-                            break;
+                    let mut out = Vec::new();
+                    while let Some(&rank) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        if rank > first_err.load(Ordering::Relaxed) {
+                            continue;
                         }
+                        let (g, _, range) = &items[rank];
+                        let (ti, cfgs) = &groups[*g];
                         let arena = TraceArena::from_trace(traces[*ti].borrow());
-                        let r = run_batch(cfgs, &arena, &mut ws);
+                        let r = run_batch(&cfgs[range.clone()], &arena, &mut ws);
                         if r.is_err() {
-                            first_err.fetch_min(i, Ordering::Relaxed);
+                            first_err.fetch_min(rank, Ordering::Relaxed);
                         }
-                        out.push((i, r));
+                        out.push((rank, r));
                     }
                     out
                 })
@@ -203,31 +278,42 @@ pub fn run_batch_groups<T: Borrow<Trace> + Sync>(
             .flat_map(|h| h.join().expect("batch worker panicked"))
             .collect()
     });
-    tagged.sort_unstable_by_key(|&(i, _)| i);
-    let mut out = Vec::with_capacity(groups.len());
-    for (_, r) in tagged {
-        out.push(r?);
+    tagged.sort_unstable_by_key(|&(rank, _)| rank);
+    let mut out: Vec<Vec<SimResult>> = groups
+        .iter()
+        .map(|(_, cfgs)| Vec::with_capacity(cfgs.len()))
+        .collect();
+    for (rank, r) in tagged {
+        out[items[rank].0].extend(r?);
     }
     Ok(out)
 }
 
-/// Runs every configuration over every trace, batched per trace: each
-/// trace is decoded once and all of `cfgs` replay it back to back
-/// before the next trace is touched. Returns one [`SuiteResult`] per
+/// Runs every configuration over every trace, batched per trace. Every
+/// configuration is validated first; the configurations are then folded
+/// to their distinct machines ([`fold_machines`]), each machine replays
+/// each trace once, and the results fan back out with every
+/// configuration's own cycle time. Returns one [`SuiteResult`] per
 /// configuration, in `cfgs` order — byte-identical to a fresh
 /// [`Simulator`](crate::Simulator) per (config, trace) pair, for any
 /// `par`.
 ///
 /// # Errors
 ///
-/// Propagates the first (trace-order, then config-order) error.
+/// Propagates the first invalid configuration (in `cfgs` order), then
+/// the first (trace-order, then machine-order) simulation error.
 pub fn run_suite_batch<T: Borrow<Trace> + Sync>(
     cfgs: &[SimConfig],
     traces: &[T],
     par: Parallelism,
 ) -> Result<Vec<SuiteResult>, SimError> {
+    for cfg in cfgs {
+        cfg.validate()?;
+    }
+    let fold = fold_machines(cfgs);
+    let machines: Vec<SimConfig> = fold.distinct.iter().map(|&i| cfgs[i].clone()).collect();
     let groups: Vec<(usize, Vec<SimConfig>)> =
-        (0..traces.len()).map(|i| (i, cfgs.to_vec())).collect();
+        (0..traces.len()).map(|i| (i, machines.clone())).collect();
     let per_group = run_batch_groups(&groups, traces, par)?;
     let mut suites: Vec<SuiteResult> = cfgs
         .iter()
@@ -237,8 +323,8 @@ pub fn run_suite_batch<T: Borrow<Trace> + Sync>(
         .collect();
     for (ti, results) in per_group.into_iter().enumerate() {
         let name = &traces[ti].borrow().name;
-        for (ci, r) in results.into_iter().enumerate() {
-            suites[ci].per_trace.push((name.clone(), r));
+        for (suite, r) in suites.iter_mut().zip(fold.fan_out(cfgs, &results)) {
+            suite.per_trace.push((name.clone(), r));
         }
     }
     Ok(suites)
@@ -313,6 +399,7 @@ pub fn compare_mechanisms(
 mod tests {
     use super::*;
     use crate::config::Mechanism;
+    use crate::error::ConfigError;
     use crate::sim::Simulator;
     use lowvcc_sram::voltage::mv;
     use lowvcc_trace::{TraceSpec, WorkloadFamily};
@@ -449,6 +536,69 @@ mod tests {
                 .expect_err("invalid config must surface");
             assert!(
                 matches!(err, SimError::Config(_)),
+                "unexpected error {err:?} at {workers} workers"
+            );
+        }
+    }
+
+    #[test]
+    fn folded_machines_run_once_and_keep_their_own_clock() {
+        let timing = CycleTimeModel::silverthorne_45nm();
+        let core = CoreConfig::silverthorne();
+        // At 650 mV IRAW has N = 0 and the baseline's memory latency in
+        // cycles: one machine under two labels. At 500 mV they differ.
+        let (base650, iraw650) = SimConfig::mechanism_pair(core, &timing, mv(650));
+        let (base500, iraw500) = SimConfig::mechanism_pair(core, &timing, mv(500));
+        let cfgs = vec![base650, iraw650, base500.clone(), iraw500, base500];
+        let fold = fold_machines(&cfgs);
+        assert_eq!(fold.distinct, vec![0, 2, 3]);
+        assert_eq!(fold.machine_of, vec![0, 0, 1, 2, 1]);
+
+        let traces = small_suite();
+        for workers in [1, 2, 5] {
+            let batched = run_suite_batch(&cfgs, &traces, Parallelism::threads(workers)).unwrap();
+            for (cfg, suite) in cfgs.iter().zip(&batched) {
+                let sim = Simulator::new(cfg.clone()).unwrap();
+                for (t, (_, r)) in traces.iter().zip(&suite.per_trace) {
+                    assert_eq!(*r, sim.run(t).unwrap(), "{workers} workers");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chunked_groups_report_lowest_group_then_config_error() {
+        let timing = CycleTimeModel::silverthorne_45nm();
+        let good = SimConfig::at_vcc(
+            CoreConfig::silverthorne(),
+            &timing,
+            mv(500),
+            Mechanism::Baseline,
+        );
+        let bad = |entries| {
+            let mut cfg = good.clone();
+            cfg.core.iq_entries = entries;
+            cfg
+        };
+        let traces = small_suite();
+        // Chunk-major scheduling reaches group 2's first chunk before
+        // group 0's last one; the report must still be group 0's error.
+        let groups = vec![
+            (
+                0usize,
+                vec![good.clone(), good.clone(), good.clone(), bad(33)],
+            ),
+            (1, vec![good.clone(), good.clone()]),
+            (2, vec![bad(65), good.clone(), good.clone()]),
+        ];
+        for workers in [1, 2, 3, 8] {
+            let err = run_batch_groups(&groups, &traces, Parallelism::threads(workers))
+                .expect_err("invalid config must surface");
+            assert!(
+                matches!(
+                    err,
+                    SimError::Config(ConfigError::IqNotPowerOfTwo { entries: 33 })
+                ),
                 "unexpected error {err:?} at {workers} workers"
             );
         }

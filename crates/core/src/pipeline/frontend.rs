@@ -13,7 +13,7 @@ use lowvcc_trace::{TraceArena, UopKind};
 use lowvcc_uarch::bpred::{Bimodal, BranchPredictor, Btb, CorruptionTracker};
 use lowvcc_uarch::rsb::ReturnStack;
 
-use crate::config::SimConfig;
+use crate::config::Machine;
 use crate::pipeline::memory::MemHierarchy;
 use crate::stats::BranchStats;
 
@@ -47,30 +47,30 @@ pub struct FrontEnd {
 impl FrontEnd {
     /// Builds the front end for a run.
     #[must_use]
-    pub fn new(cfg: &SimConfig) -> Self {
-        let n = cfg.stabilization_cycles;
+    pub fn new(machine: &Machine) -> Self {
+        let n = machine.stabilization_cycles;
         Self {
-            bp: Bimodal::new(cfg.core.bp_entries),
-            btb: Btb::new(cfg.core.btb_entries),
-            rsb: ReturnStack::new(cfg.core.rsb_entries, n),
-            tracker: CorruptionTracker::new(cfg.core.bp_entries, n),
+            bp: Bimodal::new(machine.core.bp_entries),
+            btb: Btb::new(machine.core.btb_entries),
+            rsb: ReturnStack::new(machine.core.rsb_entries, n),
+            tracker: CorruptionTracker::new(machine.core.bp_entries, n),
             decode_queue: VecDeque::with_capacity(16),
             queue_cap: 16,
             cursor: 0,
             stalled_until: 0,
             last_line: None,
-            fetch_width: cfg.core.fetch_width,
-            front_end_stages: u64::from(cfg.core.front_end_stages),
-            mispredict_penalty: u64::from(cfg.core.mispredict_penalty),
+            fetch_width: machine.core.fetch_width,
+            front_end_stages: u64::from(machine.core.front_end_stages),
+            mispredict_penalty: u64::from(machine.core.mispredict_penalty),
             stats: BranchStats::default(),
         }
     }
 
-    /// Restores the freshly-constructed state in place for `cfg` — the
+    /// Restores the freshly-constructed state in place for `machine` — the
     /// exact state [`FrontEnd::new`] would build — reusing the predictor
     /// tables and the decode queue's storage. No allocation.
-    pub fn reset(&mut self, cfg: &SimConfig) {
-        let n = cfg.stabilization_cycles;
+    pub fn reset(&mut self, machine: &Machine) {
+        let n = machine.stabilization_cycles;
         self.bp.reset();
         self.btb.reset();
         self.rsb.reset(n);
@@ -79,9 +79,9 @@ impl FrontEnd {
         self.cursor = 0;
         self.stalled_until = 0;
         self.last_line = None;
-        self.fetch_width = cfg.core.fetch_width;
-        self.front_end_stages = u64::from(cfg.core.front_end_stages);
-        self.mispredict_penalty = u64::from(cfg.core.mispredict_penalty);
+        self.fetch_width = machine.core.fetch_width;
+        self.front_end_stages = u64::from(machine.core.front_end_stages);
+        self.mispredict_penalty = u64::from(machine.core.mispredict_penalty);
         self.stats = BranchStats::default();
     }
 
@@ -255,7 +255,10 @@ mod tests {
             mv(500),
             mechanism,
         );
-        (FrontEnd::new(&cfg), MemHierarchy::new(&cfg).unwrap())
+        (
+            FrontEnd::new(&cfg.machine()),
+            MemHierarchy::new(&cfg.machine()).unwrap(),
+        )
     }
 
     /// Test helper: the old width-at-a-time allocation API, expressed

@@ -13,7 +13,7 @@ use lowvcc_uarch::buffers::{StallGuard, TimedBuffer};
 use lowvcc_uarch::cache::SetAssocCache;
 use lowvcc_uarch::tlb::Tlb;
 
-use crate::config::SimConfig;
+use crate::config::Machine;
 use crate::error::ConfigError;
 
 /// Outcome of a data-side access.
@@ -54,63 +54,63 @@ pub struct MemHierarchy {
 }
 
 impl MemHierarchy {
-    /// Builds the hierarchy from a run configuration (applying any
+    /// Builds the hierarchy for a machine (applying any
     /// Faulty Bits disabled lines).
     ///
     /// # Errors
     ///
     /// Propagates cache-geometry validation failures.
-    pub fn new(cfg: &SimConfig) -> Result<Self, ConfigError> {
+    pub fn new(machine: &Machine) -> Result<Self, ConfigError> {
         let cache = |which| move |source| ConfigError::Cache { which, source };
-        let mut il0 = SetAssocCache::new(cfg.core.il0).map_err(cache("IL0"))?;
-        let mut dl0 = SetAssocCache::new(cfg.core.dl0).map_err(cache("DL0"))?;
-        let mut ul1 = SetAssocCache::new(cfg.core.ul1).map_err(cache("UL1"))?;
-        let (dis_il0, dis_dl0, dis_ul1) = cfg.disabled_lines;
+        let mut il0 = SetAssocCache::new(machine.core.il0).map_err(cache("IL0"))?;
+        let mut dl0 = SetAssocCache::new(machine.core.dl0).map_err(cache("DL0"))?;
+        let mut ul1 = SetAssocCache::new(machine.core.ul1).map_err(cache("UL1"))?;
+        let (dis_il0, dis_dl0, dis_ul1) = machine.disabled_lines;
         if dis_il0 + dis_dl0 + dis_ul1 > 0 {
-            let mut rng = SimRng::seed_from(cfg.fault_seed);
+            let mut rng = SimRng::seed_from(machine.fault_seed);
             il0.disable_random_lines(dis_il0, &mut rng);
             dl0.disable_random_lines(dis_dl0, &mut rng);
             ul1.disable_random_lines(dis_ul1, &mut rng);
         }
-        let n = cfg.stabilization_cycles;
+        let n = machine.stabilization_cycles;
         Ok(Self {
             il0,
             dl0,
             ul1,
-            itlb: Tlb::new(cfg.core.itlb_entries),
-            dtlb: Tlb::new(cfg.core.dtlb_entries),
-            fb: TimedBuffer::new(cfg.core.fb_entries),
-            wcb: TimedBuffer::new(cfg.core.wcb_entries),
+            itlb: Tlb::new(machine.core.itlb_entries),
+            dtlb: Tlb::new(machine.core.dtlb_entries),
+            fb: TimedBuffer::new(machine.core.fb_entries),
+            wcb: TimedBuffer::new(machine.core.wcb_entries),
             il0_guard: StallGuard::new(n),
             dl0_guard: StallGuard::new(n),
             ul1_guard: StallGuard::new(n),
             itlb_guard: StallGuard::new(n),
             dtlb_guard: StallGuard::new(n),
             wcb_guard: StallGuard::new(n),
-            lat_ul1: u64::from(cfg.core.lat_ul1),
-            lat_dl0: u64::from(cfg.core.lat_dl0_hit),
-            page_walk: u64::from(cfg.core.page_walk_cycles),
-            mem_latency: cfg.memory_latency_cycles(),
-            prefetch_next_line: cfg.core.il0_next_line_prefetch,
+            lat_ul1: u64::from(machine.core.lat_ul1),
+            lat_dl0: u64::from(machine.core.lat_dl0_hit),
+            page_walk: u64::from(machine.core.page_walk_cycles),
+            mem_latency: machine.memory_latency_cycles,
+            prefetch_next_line: machine.core.il0_next_line_prefetch,
             memory_accesses: 0,
             other_fill_stall_cycles: 0,
         })
     }
 
-    /// Restores the freshly-constructed state in place for `cfg` — the
+    /// Restores the freshly-constructed state in place for `machine` — the
     /// exact state [`MemHierarchy::new`] would build, including the
-    /// re-applied fault map and every cfg-derived latency — without
+    /// re-applied fault map and every machine-derived latency — without
     /// reallocating the cache, TLB or buffer storage. The caller must
-    /// keep the cache geometry (`cfg.core`) unchanged; batch reuse falls
+    /// keep the cache geometry (`machine.core`) unchanged; batch reuse falls
     /// back to a fresh construction otherwise.
-    pub fn reset(&mut self, cfg: &SimConfig) {
+    pub fn reset(&mut self, machine: &Machine) {
         self.il0.reset();
         self.dl0.reset();
         self.ul1.reset();
-        let (dis_il0, dis_dl0, dis_ul1) = cfg.disabled_lines;
+        let (dis_il0, dis_dl0, dis_ul1) = machine.disabled_lines;
         if dis_il0 + dis_dl0 + dis_ul1 > 0 {
             // Same draw order as `new`: il0 → dl0 → ul1 from one stream.
-            let mut rng = SimRng::seed_from(cfg.fault_seed);
+            let mut rng = SimRng::seed_from(machine.fault_seed);
             self.il0.disable_random_lines(dis_il0, &mut rng);
             self.dl0.disable_random_lines(dis_dl0, &mut rng);
             self.ul1.disable_random_lines(dis_ul1, &mut rng);
@@ -119,18 +119,18 @@ impl MemHierarchy {
         self.dtlb.reset();
         self.fb.reset();
         self.wcb.reset();
-        let n = cfg.stabilization_cycles;
+        let n = machine.stabilization_cycles;
         self.il0_guard = StallGuard::new(n);
         self.dl0_guard = StallGuard::new(n);
         self.ul1_guard = StallGuard::new(n);
         self.itlb_guard = StallGuard::new(n);
         self.dtlb_guard = StallGuard::new(n);
         self.wcb_guard = StallGuard::new(n);
-        self.lat_ul1 = u64::from(cfg.core.lat_ul1);
-        self.lat_dl0 = u64::from(cfg.core.lat_dl0_hit);
-        self.page_walk = u64::from(cfg.core.page_walk_cycles);
-        self.mem_latency = cfg.memory_latency_cycles();
-        self.prefetch_next_line = cfg.core.il0_next_line_prefetch;
+        self.lat_ul1 = u64::from(machine.core.lat_ul1);
+        self.lat_dl0 = u64::from(machine.core.lat_dl0_hit);
+        self.page_walk = u64::from(machine.core.page_walk_cycles);
+        self.mem_latency = machine.memory_latency_cycles;
+        self.prefetch_next_line = machine.core.il0_next_line_prefetch;
         self.memory_accesses = 0;
         self.other_fill_stall_cycles = 0;
     }
@@ -390,7 +390,7 @@ mod tests {
             mv(vcc),
             mechanism,
         );
-        MemHierarchy::new(&cfg).unwrap()
+        MemHierarchy::new(&cfg.machine()).unwrap()
     }
 
     #[test]
@@ -490,7 +490,7 @@ mod tests {
         );
         cfg.disabled_lines = (10, 10, 100);
         cfg.fault_seed = 7;
-        let m = MemHierarchy::new(&cfg).unwrap();
+        let m = MemHierarchy::new(&cfg.machine()).unwrap();
         assert_eq!(m.il0_stats().accesses, 0);
         // Capacity shrank.
         assert!(m.dl0_stats().accesses == 0);

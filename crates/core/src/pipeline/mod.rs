@@ -22,11 +22,11 @@ use lowvcc_uarch::ports::PortSet;
 use lowvcc_uarch::scoreboard::{IrawWindow, Scoreboard};
 use lowvcc_uarch::stable::{StableMatch, StoreTable, TrackedStore};
 
-use crate::config::SimConfig;
+use crate::config::Machine;
 use crate::error::SimError;
 use crate::pipeline::frontend::FrontEnd;
 use crate::pipeline::memory::MemHierarchy;
-use crate::stats::{SimResult, SimStats};
+use crate::stats::SimStats;
 
 /// An instruction resident in the IQ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,12 +84,12 @@ enum Blocker {
     WritePort,
 }
 
-/// The simulation engine for one configuration. The trace is not owned:
+/// The simulation engine for one [`Machine`]. The trace is not owned:
 /// every run method borrows a decoded [`TraceArena`], so one arena can
 /// feed many engines (and one engine, via [`Engine::reset`], many runs).
 #[derive(Debug, Clone)]
 pub struct Engine {
-    cfg: SimConfig,
+    machine: Machine,
     fe: FrontEnd,
     mem: MemHierarchy,
     iq: InstQueue<IqEntry>,
@@ -119,29 +119,29 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Builds the engine.
+    /// Builds the engine for `machine`.
     ///
     /// # Errors
     ///
-    /// Propagates configuration validation failures.
-    pub fn new(cfg: SimConfig) -> Result<Self, SimError> {
-        cfg.validate()?;
-        let mem = MemHierarchy::new(&cfg)?;
-        let fe = FrontEnd::new(&cfg);
-        let mut stable = StoreTable::new(cfg.core.stable_max_entries);
+    /// Propagates machine validation failures.
+    pub fn new(machine: &Machine) -> Result<Self, SimError> {
+        machine.validate()?;
+        let mem = MemHierarchy::new(machine)?;
+        let fe = FrontEnd::new(machine);
+        let mut stable = StoreTable::new(machine.core.stable_max_entries);
         // Paper §4.4: enable as many entries as IRAW cycles require.
-        stable.reconfigure(cfg.stabilization_cycles as usize);
-        let window = (cfg.stabilization_cycles > 0).then_some(IrawWindow {
-            bypass_levels: cfg.core.bypass_levels,
-            bubble: cfg.stabilization_cycles,
+        stable.reconfigure(machine.stabilization_cycles as usize);
+        let window = (machine.stabilization_cycles > 0).then_some(IrawWindow {
+            bypass_levels: machine.core.bypass_levels,
+            bubble: machine.stabilization_cycles,
         });
         Ok(Self {
             window,
             fe,
             mem,
-            iq: InstQueue::new(cfg.core.iq_entries),
-            sb: Scoreboard::new(cfg.core.scoreboard_width),
-            shadow: Scoreboard::new(cfg.core.scoreboard_width),
+            iq: InstQueue::new(machine.core.iq_entries),
+            sb: Scoreboard::new(machine.core.scoreboard_width),
+            shadow: Scoreboard::new(machine.core.scoreboard_width),
             stable,
             pending: BinaryHeap::new(),
             div_free_at: 0,
@@ -155,47 +155,48 @@ impl Engine {
             issue_blocked: false,
             now: 0,
             stats: SimStats::default(),
-            cfg,
+            machine: *machine,
         })
     }
 
-    /// The configuration in force.
+    /// The machine in force.
     #[must_use]
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
+    pub fn machine(&self) -> &Machine {
+        &self.machine
     }
 
-    /// Restores the freshly-constructed state in place for `cfg` — the
+    /// Restores the freshly-constructed state in place for `machine` — the
     /// exact state [`Engine::new`] would build — reusing every buffer
     /// the engine owns. The steady state of a warmed-up sweep therefore
     /// allocates nothing.
     ///
-    /// The core geometry (`cfg.core`) must match the one this engine was
-    /// built with: only sweep parameters (Vcc, mechanism, stabilization
-    /// cycles, fault map) may change between runs. Callers reusing an
-    /// engine across configurations check that precondition and fall back
-    /// to a fresh construction (see `EngineWorkspace`).
+    /// The core geometry (`machine.core`) must match the one this engine
+    /// was built with: only sweep parameters (stabilization cycles,
+    /// memory latency, fault map) may change between runs. Callers
+    /// reusing an engine across machines check that precondition and
+    /// fall back to a fresh construction (see `EngineWorkspace`).
     ///
     /// # Errors
     ///
-    /// Propagates configuration validation failures.
-    pub fn reset(&mut self, cfg: SimConfig) -> Result<(), SimError> {
-        cfg.validate()?;
+    /// Propagates machine validation failures.
+    pub fn reset(&mut self, machine: &Machine) -> Result<(), SimError> {
+        machine.validate()?;
         debug_assert_eq!(
-            cfg.core, self.cfg.core,
+            machine.core, self.machine.core,
             "Engine::reset requires an unchanged core geometry"
         );
-        self.mem.reset(&cfg);
-        self.fe.reset(&cfg);
+        self.mem.reset(machine);
+        self.fe.reset(machine);
         self.iq.reset();
         self.sb.reset();
         self.shadow.reset();
         self.stable.reset();
-        self.stable.reconfigure(cfg.stabilization_cycles as usize);
+        self.stable
+            .reconfigure(machine.stabilization_cycles as usize);
         self.pending.clear();
-        self.window = (cfg.stabilization_cycles > 0).then_some(IrawWindow {
-            bypass_levels: cfg.core.bypass_levels,
-            bubble: cfg.stabilization_cycles,
+        self.window = (machine.stabilization_cycles > 0).then_some(IrawWindow {
+            bypass_levels: machine.core.bypass_levels,
+            bubble: machine.stabilization_cycles,
         });
         self.div_free_at = 0;
         self.fpdiv_free_at = 0;
@@ -208,7 +209,7 @@ impl Engine {
         self.issue_blocked = false;
         self.now = 0;
         self.stats = SimStats::default();
-        self.cfg = cfg;
+        self.machine = *machine;
         Ok(())
     }
 
@@ -222,7 +223,7 @@ impl Engine {
     ///
     /// Returns an error on invalid configuration or if the pipeline stops
     /// making progress (a simulator bug, surfaced rather than hung).
-    pub fn run(&mut self, trace: &TraceArena) -> Result<SimResult, SimError> {
+    pub fn run(&mut self, trace: &TraceArena) -> Result<SimStats, SimError> {
         self.run_inner(trace, true)
     }
 
@@ -233,11 +234,11 @@ impl Engine {
     /// # Errors
     ///
     /// Same contract as [`Engine::run`].
-    pub fn run_naive(&mut self, trace: &TraceArena) -> Result<SimResult, SimError> {
+    pub fn run_naive(&mut self, trace: &TraceArena) -> Result<SimStats, SimError> {
         self.run_inner(trace, false)
     }
 
-    fn run_inner(&mut self, trace: &TraceArena, fast: bool) -> Result<SimResult, SimError> {
+    fn run_inner(&mut self, trace: &TraceArena, fast: bool) -> Result<SimStats, SimError> {
         let budget = 1_000 * trace.len() as u64 + 100_000;
         while !self.finished(trace) {
             if self.now > budget {
@@ -263,10 +264,7 @@ impl Engine {
         self.stats.stalls.other_fill = self.mem.other_fill_stall_cycles();
         self.stats.memory_accesses = self.mem.memory_accesses();
         debug_assert_eq!(self.stats.instructions, trace.len() as u64);
-        Ok(SimResult {
-            stats: self.stats.clone(),
-            cycle_time: self.cfg.cycle_time,
-        })
+        Ok(self.stats.clone())
     }
 
     fn finished(&self, trace: &TraceArena) -> bool {
@@ -293,15 +291,15 @@ impl Engine {
         // 3. Issue.
         self.issue_stage(now);
         // 4. Store Table per-cycle update (after this cycle's probes).
-        if self.cfg.iraw_active() {
+        if self.machine.iraw_active() {
             let committed = self.store_this_cycle.take();
             self.stable.cycle_update(committed);
         } else {
             self.store_this_cycle = None;
         }
         // 5. Allocate into the IQ.
-        let room = self.cfg.core.iq_entries - self.iq.occupancy();
-        let width = self.cfg.core.alloc_width.min(room);
+        let room = self.machine.core.iq_entries - self.iq.occupancy();
+        let width = self.machine.core.alloc_width.min(room);
         for _ in 0..width {
             let Some(d) = self.fe.pop_decoded(now) else {
                 break;
@@ -320,11 +318,12 @@ impl Engine {
                 self.iq.flush();
                 self.head_iraw_delayed = false;
             } else if !self.iq.issue_allowed(
-                self.cfg.core.issue_width,
-                self.cfg.core.alloc_width,
-                self.cfg.stabilization_cycles,
+                self.machine.core.issue_width,
+                self.machine.core.alloc_width,
+                self.machine.stabilization_cycles,
             ) {
-                let pad = self.cfg.core.alloc_width * self.cfg.stabilization_cycles as usize;
+                let pad =
+                    self.machine.core.alloc_width * self.machine.stabilization_cycles as usize;
                 let before = self.iq.occupancy();
                 self.iq.inject_drain(pad, IqEntry::drain);
                 self.stats.drain_noops += (self.iq.occupancy() - before) as u64;
@@ -367,9 +366,9 @@ impl Engine {
                     return;
                 }
                 if !self.iq.issue_allowed(
-                    self.cfg.core.issue_width,
-                    self.cfg.core.alloc_width,
-                    self.cfg.stabilization_cycles,
+                    self.machine.core.issue_width,
+                    self.machine.core.alloc_width,
+                    self.machine.stabilization_cycles,
                 ) {
                     return;
                 }
@@ -408,7 +407,7 @@ impl Engine {
         // IQ allocation: active the moment a decoded uop is ready while
         // the IQ has room (issue being blocked or absent, room cannot
         // grow mid-skip).
-        if self.iq.occupancy() < self.cfg.core.iq_entries {
+        if self.iq.occupancy() < self.machine.core.iq_entries {
             if let Some(t) = self.fe.next_decode_ready() {
                 if t <= now {
                     return;
@@ -453,8 +452,8 @@ impl Engine {
                 }
                 _ => {}
             }
-            if self.cfg.extra_write_port_cycles > 0 && head.dst.is_some() {
-                let latency = u64::from(self.cfg.core.latency_of(head.kind));
+            if self.machine.extra_write_port_cycles > 0 && head.dst.is_some() {
+                let latency = u64::from(self.machine.core.latency_of(head.kind));
                 bound(
                     &mut wake,
                     self.write_ports.earliest_free().saturating_sub(latency),
@@ -485,7 +484,7 @@ impl Engine {
             Some(Blocker::WritePort) => self.stats.write_port_stalls += k,
             Some(Blocker::DataDependence | Blocker::Structural) | None => {}
         }
-        if self.cfg.iraw_active() {
+        if self.machine.iraw_active() {
             // No store can commit in a blocked cycle, so the Store Table
             // sees k idle updates.
             self.stable.advance_idle(k);
@@ -543,9 +542,9 @@ impl Engine {
     fn issue_stage(&mut self, now: u64) {
         self.issue_blocked = false;
         let gate_open = self.iq.issue_allowed(
-            self.cfg.core.issue_width,
-            self.cfg.core.alloc_width,
-            self.cfg.stabilization_cycles,
+            self.machine.core.issue_width,
+            self.machine.core.alloc_width,
+            self.machine.stabilization_cycles,
         );
         if !gate_open {
             // Attribute the cycle to the IQ gate only if the head would
@@ -558,7 +557,7 @@ impl Engine {
             return;
         }
         let mut mem_issued_this_cycle = false;
-        for slot in 0..self.cfg.core.issue_width {
+        for slot in 0..self.machine.core.issue_width {
             let Some(entry) = self.iq.front().copied() else {
                 break;
             };
@@ -652,8 +651,8 @@ impl Engine {
             _ => {}
         }
         // Extra Bypass write-port contention.
-        if self.cfg.extra_write_port_cycles > 0 && entry.dst.is_some() {
-            let wb = now + u64::from(self.cfg.core.latency_of(entry.kind));
+        if self.machine.extra_write_port_cycles > 0 && entry.dst.is_some() {
+            let wb = now + u64::from(self.machine.core.latency_of(entry.kind));
             if self.write_ports.free_count(wb) == 0 {
                 return Some(Blocker::WritePort);
             }
@@ -663,13 +662,13 @@ impl Engine {
 
     fn execute(&mut self, entry: &mut IqEntry, now: u64) {
         let window = self.window;
-        let latency = self.cfg.core.latency_of(entry.kind);
+        let latency = self.machine.core.latency_of(entry.kind);
         // Extra Bypass: reserve the write port for the extended write.
-        if self.cfg.extra_write_port_cycles > 0 && entry.dst.is_some() {
+        if self.machine.extra_write_port_cycles > 0 && entry.dst.is_some() {
             let wb = now + u64::from(latency);
             let _ = self
                 .write_ports
-                .try_reserve(wb, 1 + u64::from(self.cfg.extra_write_port_cycles));
+                .try_reserve(wb, 1 + u64::from(self.machine.extra_write_port_cycles));
         }
         match entry.kind {
             UopKind::Load => self.execute_load(entry, now),
@@ -705,14 +704,14 @@ impl Engine {
         let outcome = self.mem.data_access(addr, false, now);
         let mut ready_at = outcome.ready_at;
         // Probe the Store Table in parallel with the DL0 (paper Fig. 10).
-        if self.cfg.iraw_active() {
+        if self.machine.iraw_active() {
             let set = self.mem.dl0_set_of(addr);
             match self.stable.probe(addr, entry.size, set) {
                 StableMatch::None => {}
                 StableMatch::Full { replay_stores } => {
                     // STable forwards the data at hit latency; repair
                     // stalls subsequent memory ops while stores replay.
-                    ready_at = ready_at.min(now + u64::from(self.cfg.core.lat_dl0_hit));
+                    ready_at = ready_at.min(now + u64::from(self.machine.core.lat_dl0_hit));
                     self.repair_until = now + 1 + u64::from(replay_stores);
                 }
                 StableMatch::SetOnly { replay_stores } => {
@@ -721,7 +720,7 @@ impl Engine {
             }
         }
         let dst = entry.dst.expect("loads have destinations");
-        let hit_lat = u64::from(self.cfg.core.lat_dl0_hit);
+        let hit_lat = u64::from(self.machine.core.lat_dl0_hit);
         if ready_at <= now + hit_lat {
             let lat = short_producer_latency(ready_at, now);
             let window = self.window;
@@ -736,7 +735,7 @@ impl Engine {
         let addr = entry.addr.expect("stores carry addresses");
         self.mem_port_free_at = now + 1;
         let _ = self.mem.data_access(addr, true, now);
-        if self.cfg.iraw_active() {
+        if self.machine.iraw_active() {
             self.store_this_cycle = Some(TrackedStore {
                 addr,
                 size: entry.size,
@@ -758,23 +757,19 @@ fn short_producer_latency(ready_at: u64, now: u64) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{CoreConfig, Mechanism};
+    use crate::config::{CoreConfig, Mechanism, SimConfig};
+    use crate::sim::Simulator;
+    use crate::stats::SimResult;
     use lowvcc_sram::voltage::mv;
     use lowvcc_sram::CycleTimeModel;
     use lowvcc_trace::{Trace, Uop};
 
     fn run_on(cfg: SimConfig, trace: &Trace) -> SimResult {
-        Engine::new(cfg)
-            .unwrap()
-            .run(&TraceArena::from_trace(trace))
-            .unwrap()
+        Simulator::new(cfg).unwrap().run(trace).unwrap()
     }
 
     fn run_naive_on(cfg: SimConfig, trace: &Trace) -> SimResult {
-        Engine::new(cfg)
-            .unwrap()
-            .run_naive(&TraceArena::from_trace(trace))
-            .unwrap()
+        Simulator::new(cfg).unwrap().run_naive(trace).unwrap()
     }
 
     fn cfg(mechanism: Mechanism, vcc: u32) -> SimConfig {

@@ -5,7 +5,7 @@ use lowvcc_trace::{Trace, TraceArena};
 use crate::config::SimConfig;
 use crate::error::{ConfigError, SimError};
 use crate::pipeline::Engine;
-use crate::stats::SimResult;
+use crate::stats::{SimResult, SimStats};
 
 /// A configured simulator, ready to replay traces.
 ///
@@ -54,7 +54,8 @@ impl Simulator {
     /// Returns [`SimError::NoProgress`] if the engine detects a live-lock
     /// (a simulator bug surfaced rather than a hang).
     pub fn run(&self, trace: &Trace) -> Result<SimResult, SimError> {
-        Engine::new(self.cfg.clone())?.run(&TraceArena::from_trace(trace))
+        let stats = Engine::new(&self.cfg.machine())?.run(&TraceArena::from_trace(trace))?;
+        Ok(self.result(stats))
     }
 
     /// Replays `trace` on the naive cycle-by-cycle reference stepper —
@@ -66,7 +67,15 @@ impl Simulator {
     ///
     /// Same contract as [`Simulator::run`].
     pub fn run_naive(&self, trace: &Trace) -> Result<SimResult, SimError> {
-        Engine::new(self.cfg.clone())?.run_naive(&TraceArena::from_trace(trace))
+        let stats = Engine::new(&self.cfg.machine())?.run_naive(&TraceArena::from_trace(trace))?;
+        Ok(self.result(stats))
+    }
+
+    fn result(&self, stats: SimStats) -> SimResult {
+        SimResult {
+            stats,
+            cycle_time: self.cfg.cycle_time,
+        }
     }
 }
 

@@ -73,7 +73,7 @@ use std::io;
 use std::net::TcpListener;
 use std::time::Duration;
 
-use lowvcc_bench::experiments::{point, point_json, stalls, sweep, table1};
+use lowvcc_bench::experiments::{measure_all, point, point_json, stalls, sweep, table1};
 use lowvcc_bench::{json, ExperimentContext, ExperimentError, ResultStore};
 use lowvcc_sram::{Millivolts, VoltageError};
 
@@ -174,8 +174,14 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
             None => Ok(Request::Sweep(None)),
             some => Ok(Request::Sweep(Some(parse_vcc(some, 0)?))),
         },
-        "table1" => Ok(Request::Table1(parse_vcc(v.get("vcc"), 500)?)),
-        "stalls" => Ok(Request::Stalls(parse_vcc(v.get("vcc"), 575)?)),
+        "table1" => Ok(Request::Table1(parse_vcc(
+            v.get("vcc"),
+            table1::VCC.millivolts(),
+        )?)),
+        "stalls" => Ok(Request::Stalls(parse_vcc(
+            v.get("vcc"),
+            stalls::VCC.millivolts(),
+        )?)),
         "shutdown" => Ok(Request::Shutdown),
         other => Err(RequestError::UnknownExperiment(other.to_string())),
     }
@@ -346,8 +352,9 @@ impl Daemon {
         &self.store
     }
 
-    /// Pre-fills the store: the full sweep grid, plus Table 1 and the
-    /// stall study at their protocol-default voltages (500 / 575 mV).
+    /// Pre-fills the store with one [`measure_all`] batch: the full sweep
+    /// grid, plus Table 1 and the stall study at their protocol-default
+    /// voltages ([`table1::VCC`], [`stalls::VCC`]).
     /// `sweep` queries are then hits at every grid point; a `table1` or
     /// `stalls` query at a *non-default* voltage still simulates its
     /// extra configurations once on first request.
@@ -356,12 +363,7 @@ impl Daemon {
     ///
     /// Propagates simulation and cache failures.
     pub fn warm(&self) -> Result<(), ExperimentError> {
-        // Compile-time-validated grid anchor: the protocol default for
-        // `table1` (500 mV) cannot drift out of the model range.
-        const TABLE1_DEFAULT: Millivolts = Millivolts::literal(500);
-        sweep::run_sweep(&self.ctx)?;
-        table1::quantitative_rows_at(&self.ctx, TABLE1_DEFAULT)?;
-        stalls::measure(&self.ctx)?;
+        measure_all(&self.ctx)?;
         Ok(())
     }
 

@@ -1,15 +1,18 @@
 //! Concurrency tests for the thread-pool serve loop: a stalled client
 //! must not block others, shutdown must drain with a deadline, excess
 //! clients get the typed `busy` refusal, identical cold queries are
-//! single-flighted, and concurrent answers are byte-identical to the
-//! sequential daemon's.
+//! single-flighted, concurrent answers are byte-identical to the
+//! sequential daemon's, and a machine shared by several labels is
+//! simulated (and stored) once.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
+use lowvcc_bench::experiments::{point_json, sweep};
 use lowvcc_bench::{json, ExperimentContext};
 use lowvcc_serve::{Daemon, ServeOptions};
+use lowvcc_sram::{Millivolts, PAPER_SWEEP};
 
 fn tiny_daemon() -> Daemon {
     Daemon::new(ExperimentContext::sized(1, 2_000).expect("tiny suite builds"))
@@ -303,4 +306,49 @@ fn silent_clients_are_disconnected_at_the_read_timeout() {
         handle.join().unwrap().unwrap();
     });
     assert_eq!(daemon.serve_counters().timeouts, 1);
+}
+
+#[test]
+fn cold_point_of_one_machine_simulates_once_per_trace() {
+    // At 650 mV IRAW has N = 0 and the baseline's memory latency in
+    // cycles: both mechanisms run one machine, so a cold point costs
+    // 1 machine × 7 traces = 7 simulations, not 14.
+    let daemon = tiny_daemon();
+    let (response, _) = daemon.handle_line(r#"{"experiment": "sweep", "vcc": 650}"#);
+    let stats = daemon.context().cache.as_ref().unwrap().stats();
+    assert_eq!(stats.misses, 7, "one simulation per machine key: {stats:?}");
+    assert_eq!(stats.stores, 7);
+
+    let v = json::parse(&response).unwrap();
+    assert_eq!(v.get("cached").unwrap().as_bool(), Some(false));
+    let uncached = ExperimentContext::sized(1, 2_000).expect("tiny suite builds");
+    let vcc = Millivolts::new(650).expect("grid voltage");
+    let expected = point_json(&sweep::point(&uncached, vcc).expect("uncached point"));
+    assert_eq!(v.get("point"), Some(&json::parse(&expected).unwrap()));
+}
+
+#[test]
+fn warmed_daemon_answers_every_benchmark_request_from_the_store() {
+    let daemon = tiny_daemon();
+    daemon.warm().expect("warm-up runs");
+    let stats = || daemon.context().cache.as_ref().unwrap().stats();
+    // One planned batch: 25 distinct machines × 7 traces.
+    assert_eq!(stats().misses, 175);
+    // The 16 distinct requests the benchmark sends: every grid point,
+    // the full sweep, stalls at 575 mV and Table 1 at 500 mV.
+    let mut lines: Vec<String> = PAPER_SWEEP
+        .iter()
+        .map(|mv| format!(r#"{{"experiment": "sweep", "vcc": {}}}"#, mv.millivolts()))
+        .collect();
+    lines.extend([
+        r#"{"experiment": "sweep"}"#.to_string(),
+        r#"{"experiment": "stalls", "vcc": 575}"#.to_string(),
+        r#"{"experiment": "table1", "vcc": 500}"#.to_string(),
+    ]);
+    assert_eq!(lines.len(), 16);
+    for line in &lines {
+        let (response, _) = daemon.handle_line(line);
+        assert!(response.contains("\"cached\": true"), "{line}: {response}");
+    }
+    assert_eq!(stats().misses, 175, "no request simulated after warm-up");
 }

@@ -212,6 +212,15 @@ fn warm_cached_rerun_is_simulation_free_and_bit_identical() {
         cold.sweep_uops, uncached.sweep_uops,
         "a cold cached sweep simulates exactly what an uncached one does"
     );
+    assert_eq!(
+        uncached.sweep_uops,
+        25 * base.total_uops() as u64,
+        "run_all's 34 configurations fold to 25 simulated machines"
+    );
+    assert_eq!(
+        (uncached.engine_runs, uncached.requested_runs),
+        (25 * 7, 34 * 7)
+    );
 
     let warm = run_all(&cold_ctx, &out).expect("warm cached run");
     assert_eq!(
