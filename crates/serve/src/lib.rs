@@ -36,18 +36,17 @@
 //! answering queries in degraded mode — the disk is an optimization,
 //! never a dependency (see DESIGN.md §9). `metrics` returns the
 //! [`metrics::Metrics`] registry: fixed-bucket per-op latency
-//! histograms, the dispatch-queue gauge, connection outcomes, and the
+//! histograms, the compute-queue gauge, connection outcomes, and the
 //! store's hit-rate (DESIGN.md §11).
 //!
 //! ## Concurrency model
 //!
-//! One **event-loop thread** owns every socket through a raw-`epoll`
-//! [`reactor`]: nonblocking accept, NDJSON framing over partial reads,
-//! response flushing under write backpressure, and idle/stall deadlines
-//! as the epoll timeout — so idle or slow clients cost zero threads (see
-//! [`conn`]). Complete request lines are dispatched to a bounded pool of
-//! [`ServeOptions::threads`] workers; a simulating request additionally
-//! fans out over the context's own parallelism. When
+//! The calling thread blocks in `accept`; each connection gets one
+//! thread that reads its request lines, answers them in order and
+//! writes each response (see [`conn`]). Compute is bounded apart from
+//! connections: a thread holds one of [`ServeOptions::threads`] permits
+//! while it answers, and a simulating request additionally fans out
+//! over the context's own parallelism. When
 //! [`max_connections`](ServeOptions::max_connections) connections are
 //! open, excess clients are refused immediately with the typed busy
 //! error `{"ok": false, "error": "busy: …", "busy": true}` instead of
@@ -58,9 +57,8 @@
 //! A peer that never sends a full line is reaped at the idle deadline;
 //! one that stops draining its response is cut at the write-stall
 //! deadline (slow-loris hardening). `shutdown` answers, stops
-//! accepting, refuses queued lines with the shutting-down error, closes
-//! each connection as its last response flushes, and force-closes
-//! whatever is still stalled at
+//! accepting, answers lines already read with the shutting-down error,
+//! and force-closes whatever is still open at
 //! [`drain_deadline`](ServeOptions::drain_deadline) — a wedged *peer*
 //! cannot postpone daemon exit. (A request already inside the engine is
 //! the one thing the deadline does not cut: simulations have no
@@ -68,6 +66,8 @@
 //! published to the store.) Every connection outcome lands in the
 //! [`metrics`] registry, surfaced by `stats`/`metrics` and logged to
 //! stderr.
+
+#![forbid(unsafe_code)]
 
 use std::io;
 use std::net::TcpListener;
@@ -83,7 +83,6 @@ use std::sync::Arc;
 
 pub mod conn;
 pub mod metrics;
-pub mod reactor;
 
 use metrics::{Metrics, Op};
 
@@ -207,9 +206,9 @@ pub fn op_of(parsed: &Result<Request, RequestError>) -> Op {
 /// Tuning knobs for the concurrent serve loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeOptions {
-    /// Worker threads computing request responses (the `--threads`
-    /// flag). Clamped up to 1. Sockets live on the event loop, not on
-    /// workers — this bounds *concurrent request compute*, and a
+    /// Compute permits (the `--threads` flag): how many connections
+    /// may answer a request at once. Clamped up to 1. Each connection
+    /// has its own thread, but only permit holders compute, and a
     /// simulating request additionally fans out over the context's
     /// `--jobs` parallelism.
     pub threads: usize,
@@ -247,6 +246,9 @@ impl ServeOptions {
         Self {
             threads: self.threads.max(1),
             max_connections: self.max_connections.max(1),
+            // std rejects a zero socket timeout.
+            read_timeout: self.read_timeout.max(Duration::from_millis(1)),
+            write_timeout: self.write_timeout.max(Duration::from_millis(1)),
             ..self
         }
     }
@@ -262,7 +264,7 @@ impl ServeOptions {
 /// connections).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServeSnapshot {
-    /// Connections accepted and registered with the event loop.
+    /// Connections accepted and given a thread.
     pub accepted: u64,
     /// Connections served to completion (EOF or clean close).
     pub completed: u64,
@@ -276,11 +278,11 @@ pub struct ServeSnapshot {
     /// Idle connections reaped by the idle deadline — the subset of
     /// `timeouts` with no pending output.
     pub idle_reaped: u64,
-    /// Connections whose request handler panicked (the worker
+    /// Connections whose request handler panicked (the daemon
     /// survives).
     pub worker_panics: u64,
-    /// Connections closed by the shutdown drain (at the deadline, or as
-    /// soon as their last response flushed).
+    /// Connections closed by the shutdown drain (at the deadline, or
+    /// when their read side saw the drain's EOF).
     pub force_closed: u64,
     /// Request lines answered with the shutting-down error after
     /// shutdown began.
@@ -524,9 +526,9 @@ impl Daemon {
         }
     }
 
-    /// Runs the readiness-driven serve loop with
-    /// [`ServeOptions::default`] until a `shutdown` request (or a
-    /// listener error). See [`serve_with`](Self::serve_with).
+    /// Runs the serve loop with [`ServeOptions::default`] until a
+    /// `shutdown` request (or a listener error). See
+    /// [`serve_with`](Self::serve_with).
     ///
     /// # Errors
     ///
@@ -536,18 +538,17 @@ impl Daemon {
         self.serve_with(listener, ServeOptions::default())
     }
 
-    /// Runs the readiness-driven serve loop until a `shutdown` request
-    /// (or a listener/reactor error): one event-loop thread owns every
-    /// socket, request lines are dispatched to a bounded pool of
-    /// `opts.threads` workers sharing this daemon's context and store,
-    /// and excess clients beyond `opts.max_connections` are refused with
+    /// Runs the serve loop until a `shutdown` request (or a listener
+    /// error): one thread per connection, at most `opts.threads` of
+    /// them answering at once with this daemon's context and store,
+    /// and excess clients beyond `opts.max_connections` refused with
     /// the typed `busy` error. See [`conn::run`] for the drain
     /// semantics.
     ///
     /// # Errors
     ///
-    /// Propagates reactor and listener I/O failures. Per-connection
-    /// failures are counted in [`metrics`](Self::metrics) (see
+    /// Propagates listener I/O failures. Per-connection failures are
+    /// counted in [`metrics`](Self::metrics) (see
     /// [`serve_counters`](Self::serve_counters)), never silently
     /// dropped, and never kill the daemon.
     pub fn serve_with(&self, listener: &TcpListener, opts: ServeOptions) -> io::Result<()> {
@@ -674,11 +675,15 @@ mod tests {
         let o = ServeOptions {
             threads: 0,
             max_connections: 0,
+            read_timeout: Duration::ZERO,
+            write_timeout: Duration::ZERO,
             ..ServeOptions::default()
         }
         .clamped();
         assert_eq!(o.threads, 1);
         assert_eq!(o.max_connections, 1);
+        assert_eq!(o.read_timeout, Duration::from_millis(1));
+        assert_eq!(o.write_timeout, Duration::from_millis(1));
         assert!(ServeOptions::default().threads >= 4);
     }
 }

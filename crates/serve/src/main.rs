@@ -7,19 +7,22 @@
 //! ```
 //!
 //! Defaults: quick suite, in-memory store, all hardware threads for
-//! simulation (`--jobs`), `max(4, hardware threads)` connection workers
-//! (`--threads`), 64 in-flight connections (`--max-connections`),
-//! `127.0.0.1:0` (ephemeral port). The bound address is announced on
-//! stdout as `lowvcc-serve listening on HOST:PORT` so harnesses can
-//! scrape the port. Excess clients beyond the connection cap receive
-//! the typed `{"ok": false, "error": "busy: …", "busy": true}` refusal
-//! instead of queueing unboundedly. `--warm` runs the full sweep grid
-//! plus Table 1 and the stall study at their default voltages once
-//! before accepting, so sweep queries (and default-voltage
-//! table1/stalls queries) are cache hits from the first request;
-//! non-default table1/stalls voltages simulate once on demand.
+//! simulation (`--jobs`), `max(4, hardware threads)` compute permits
+//! (`--threads`: requests answered at once), 64 open connections
+//! (`--max-connections`), `127.0.0.1:0` (ephemeral port). The bound
+//! address is announced on stdout as `lowvcc-serve listening on
+//! HOST:PORT` so harnesses can scrape the port. Excess clients beyond
+//! the connection cap receive the typed
+//! `{"ok": false, "error": "busy: …", "busy": true}` refusal instead of
+//! queueing unboundedly. `--warm` runs the full sweep grid plus Table 1
+//! and the stall study at their default voltages once before
+//! accepting, so sweep queries (and default-voltage table1/stalls
+//! queries) are cache hits from the first request; non-default
+//! table1/stalls voltages simulate once on demand.
 //! `--cache DIR` shares the store with `experiments --cache DIR` —
 //! either can warm it for the other.
+
+#![forbid(unsafe_code)]
 
 use std::net::TcpListener;
 use std::path::PathBuf;
@@ -121,7 +124,7 @@ fn run() -> Result<(), String> {
         .map_err(|e| format!("no local address: {e}"))?;
     println!("lowvcc-serve listening on {local}");
     eprintln!(
-        "suite {} ({} uops), store {}, {} jobs, {} workers (max {} connections); \
+        "suite {} ({} uops), store {}, {} jobs, {} compute permits (max {} connections); \
          send {{\"experiment\":\"shutdown\"}} to stop",
         daemon.context().suite_label,
         daemon.context().total_uops(),

@@ -2,13 +2,14 @@
 //! fixed-bucket latency histograms, rendered by the `metrics` request.
 //!
 //! PR 4's ad-hoc `serve_counters` stats channel grew into this registry
-//! so the scaling work of the readiness-driven tier is *measurable*
-//! rather than asserted: every request records its queue-to-response
-//! latency into a per-op histogram, the dispatch queue depth is tracked
-//! as a gauge with a high-water mark, and connection outcomes (accepts,
-//! refusals, idle reaps, force-closes) are monotone counters. All cells
-//! are relaxed atomics — recording never takes a lock and never blocks
-//! the event loop.
+//! so the serve tier's behaviour under load is *measurable* rather
+//! than asserted: every request records its queue-to-response latency
+//! into a per-op histogram, the compute queue depth (lines waiting for
+//! or holding a compute permit) is tracked as a gauge with a
+//! high-water mark, and connection outcomes (accepts, refusals, idle
+//! reaps, force-closes) are monotone counters. All cells are relaxed
+//! atomics — recording never takes a lock, so it never contends with
+//! the serve loop's own locks.
 //!
 //! Histograms use **fixed power-of-two microsecond buckets** (bucket
 //! `i` counts latencies below `2^(i+1) µs`, the last bucket is
@@ -182,14 +183,14 @@ impl Op {
     }
 }
 
-/// The registry: per-op latency histograms, the dispatch-queue gauge,
+/// The registry: per-op latency histograms, the compute-queue gauge,
 /// and every connection-outcome counter of the serve loop. Shared
-/// (`Arc`) between the event loop, its workers and the `metrics`
-/// request handler.
+/// (`Arc`) between the accept thread, the connection threads and the
+/// `metrics` request handler.
 #[derive(Debug, Default)]
 pub struct Metrics {
     ops: [Histogram; Op::ALL.len()],
-    /// Connections accepted and registered with the event loop.
+    /// Connections accepted and given a thread.
     pub accepted: AtomicU64,
     /// Connections ended by a clean peer close (EOF).
     pub completed: AtomicU64,
@@ -202,9 +203,9 @@ pub struct Metrics {
     /// Idle connections reaped by the idle deadline (subset of
     /// `timeouts`: reaps with no pending output).
     pub idle_reaped: AtomicU64,
-    /// Requests whose handler panicked (the worker survives).
+    /// Requests whose handler panicked (the daemon survives).
     pub worker_panics: AtomicU64,
-    /// Connections force-closed at the shutdown drain deadline.
+    /// Connections closed by the shutdown drain.
     pub force_closed: AtomicU64,
     /// Request lines answered with the shutting-down error during drain.
     pub drain_refused: AtomicU64,
@@ -225,14 +226,14 @@ impl Metrics {
         self.ops[op.index()].record(latency);
     }
 
-    /// Notes a request entering the dispatch queue (gauge up, peak
+    /// Notes a request line waiting for a compute permit (gauge up, peak
     /// tracked).
     pub fn job_enqueued(&self) {
         let depth = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
         self.queue_peak.fetch_max(depth, Ordering::Relaxed);
     }
 
-    /// Notes a request leaving the dispatch queue (gauge down).
+    /// Notes a request line answered or refused (gauge down).
     pub fn job_done(&self) {
         // Saturating: a stray double-done must not wrap the gauge.
         let _ = self
@@ -242,14 +243,14 @@ impl Metrics {
             });
     }
 
-    /// Current dispatch-queue depth (requests submitted but not yet
+    /// Current compute-queue depth (request lines read but not yet
     /// answered).
     #[must_use]
     pub fn queue_depth(&self) -> u64 {
         self.queue_depth.load(Ordering::Relaxed)
     }
 
-    /// High-water mark of the dispatch queue.
+    /// High-water mark of the compute queue.
     #[must_use]
     pub fn queue_peak(&self) -> u64 {
         self.queue_peak.load(Ordering::Relaxed)

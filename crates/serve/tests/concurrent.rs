@@ -1,9 +1,12 @@
-//! Concurrency tests for the thread-pool serve loop: a stalled client
-//! must not block others, shutdown must drain with a deadline, excess
-//! clients get the typed `busy` refusal, identical cold queries are
-//! single-flighted, concurrent answers are byte-identical to the
-//! sequential daemon's, and a machine shared by several labels is
-//! simulated (and stored) once.
+//! Concurrency tests for the thread-per-connection serve loop: a
+//! stalled client must not block others, shutdown must drain with a
+//! deadline, excess clients get the typed `busy` refusal, identical
+//! cold queries are single-flighted, concurrent answers are
+//! byte-identical to the sequential daemon's, and a machine shared by
+//! several labels is simulated (and stored) once. Over real sockets, a
+//! client that never reads is cut at the write-stall deadline,
+//! pipelined lines answer in order (refused once shutdown begins), and
+//! over-long or non-UTF-8 lines close their connection as errors.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -11,7 +14,8 @@ use std::time::{Duration, Instant};
 
 use lowvcc_bench::experiments::{point_json, sweep};
 use lowvcc_bench::{json, ExperimentContext};
-use lowvcc_serve::{Daemon, ServeOptions};
+use lowvcc_serve::conn::MAX_LINE;
+use lowvcc_serve::{Daemon, ServeOptions, ServeSnapshot};
 use lowvcc_sram::{Millivolts, PAPER_SWEEP};
 
 fn tiny_daemon() -> Daemon {
@@ -50,6 +54,39 @@ fn client(addr: std::net::SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
 const SWEEP_575: &str = r#"{"experiment":"sweep","vcc":575}"#;
 const PING: &str = r#"{"experiment":"ping"}"#;
 const SHUTDOWN: &str = r#"{"experiment":"shutdown"}"#;
+const METRICS: &str = r#"{"experiment":"metrics"}"#;
+
+/// Every accepted connection ends in exactly one terminal bucket.
+fn assert_reconciles(c: &ServeSnapshot) {
+    assert_eq!(
+        c.accepted,
+        c.completed + c.connection_errors + c.timeouts + c.worker_panics + c.force_closed,
+        "terminal buckets must add up to accepted: {c:?}"
+    );
+}
+
+/// Reads until the daemon closes the connection, asserting it sends
+/// nothing first. A reset counts as closed: the daemon may drop a
+/// socket with request bytes still unread.
+fn assert_closed_silently(stream: &TcpStream) {
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut buf = Vec::new();
+    match (&mut { stream }).read_to_end(&mut buf) {
+        Ok(_) => assert!(buf.is_empty(), "closed with {} bytes sent", buf.len()),
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}"),
+    }
+}
+
+/// The largest size (the third field) of a `tcp_rmem`/`tcp_wmem`
+/// triple under `/proc/sys/net/ipv4`, or `fallback` off Linux.
+fn tcp_buffer_max(name: &str, fallback: usize) -> usize {
+    std::fs::read_to_string(format!("/proc/sys/net/ipv4/{name}"))
+        .ok()
+        .and_then(|s| s.split_whitespace().nth(2)?.parse().ok())
+        .unwrap_or(fallback)
+}
 
 #[test]
 fn stalled_client_does_not_block_others() {
@@ -351,4 +388,133 @@ fn warmed_daemon_answers_every_benchmark_request_from_the_store() {
         assert!(response.contains("\"cached\": true"), "{line}: {response}");
     }
     assert_eq!(stats().misses, 175, "no request simulated after warm-up");
+}
+
+#[test]
+fn a_client_that_never_reads_is_cut_at_the_write_stall_deadline() {
+    let daemon = tiny_daemon();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let stall = ServeOptions {
+        write_timeout: Duration::from_millis(500),
+        ..opts()
+    };
+    // The responses must overflow every kernel buffer between daemon
+    // and client twice over, so the daemon's writes really stop; the
+    // requests stay well inside those buffers. A `metrics` body only
+    // grows as requests are counted, so the first one bounds the size
+    // of the rest from below.
+    let buffers = tcp_buffer_max("tcp_rmem", 6 << 20) + tcp_buffer_max("tcp_wmem", 4 << 20);
+    let (first, _) = daemon.handle_line(METRICS);
+    let lines = 2 * buffers / first.len() + 1;
+    let requests = format!("{METRICS}\n").repeat(lines);
+    assert!(requests.len() < buffers, "{} request bytes", requests.len());
+
+    let cut = std::thread::scope(|s| {
+        let handle = s.spawn(|| daemon.serve_with(&listener, stall));
+        let started = Instant::now();
+        // Pipelines every request and never reads. The socket is
+        // handed back open: a close would end the connection as an
+        // error rather than a stall. Its own write timeout keeps a
+        // daemon that never cuts it from hanging the test.
+        let hog = s.spawn(move || {
+            let hog = TcpStream::connect(addr).unwrap();
+            hog.set_write_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            let _ = (&hog).write_all(requests.as_bytes());
+            hog
+        });
+
+        // Another client is served while the hog's responses back up.
+        while daemon.serve_counters().accepted == 0 {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let (mut c, mut r) = client(addr);
+        let v = json::parse(&request(&mut c, &mut r, PING)).unwrap();
+        assert_eq!(v.get("pong").unwrap().as_bool(), Some(true));
+
+        let limit = stall.write_timeout + Duration::from_secs(5);
+        while daemon.serve_counters().timeouts == 0 && started.elapsed() < limit {
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let cut = daemon.serve_counters().timeouts == 1;
+        // Closing the hog ends a daemon write that never timed out, so
+        // a failure below is reported instead of hanging the scope.
+        drop(hog.join().unwrap());
+
+        let v = json::parse(&request(&mut c, &mut r, SHUTDOWN)).unwrap();
+        assert_eq!(v.get("shutdown").unwrap().as_bool(), Some(true));
+        handle.join().unwrap().unwrap();
+        cut
+    });
+    assert!(cut, "the hog was not cut within the write timeout + 5 s");
+    let c = daemon.serve_counters();
+    assert_eq!((c.timeouts, c.idle_reaped), (1, 0), "{c:?}");
+    assert_reconciles(&c);
+}
+
+#[test]
+fn pipelined_lines_answer_in_order_and_lines_after_shutdown_are_refused() {
+    let daemon = tiny_daemon();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    std::thread::scope(|s| {
+        let handle = s.spawn(|| daemon.serve_with(&listener, opts()));
+        let (mut c, mut r) = client(addr);
+        c.write_all(format!("{PING}\n{SWEEP_575}\n{SHUTDOWN}\n{PING}\n").as_bytes())
+            .unwrap();
+        let responses: Vec<json::Value> = (0..4)
+            .map(|_| {
+                let mut line = String::new();
+                r.read_line(&mut line).unwrap();
+                json::parse(line.trim_end()).unwrap()
+            })
+            .collect();
+        assert_eq!(responses[0].get("pong").unwrap().as_bool(), Some(true));
+        assert_eq!(
+            responses[1].get("experiment").unwrap().as_str(),
+            Some("sweep")
+        );
+        assert!(responses[1].get("point").is_some());
+        assert_eq!(responses[2].get("shutdown").unwrap().as_bool(), Some(true));
+        assert_eq!(responses[3].get("ok").unwrap().as_bool(), Some(false));
+        assert_eq!(
+            responses[3].get("error").unwrap().as_str(),
+            Some("daemon is shutting down")
+        );
+        handle.join().unwrap().unwrap();
+    });
+    let c = daemon.serve_counters();
+    assert_eq!(c.drain_refused, 1, "{c:?}");
+    assert_reconciles(&c);
+}
+
+#[test]
+fn over_long_and_non_utf8_lines_close_the_connection_as_errors() {
+    let daemon = tiny_daemon();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    std::thread::scope(|s| {
+        let handle = s.spawn(|| daemon.serve_with(&listener, opts()));
+
+        let long = TcpStream::connect(addr).unwrap();
+        (&long).write_all(&vec![b'x'; MAX_LINE + 1]).unwrap();
+        let garbled = TcpStream::connect(addr).unwrap();
+        (&garbled)
+            .write_all(b"{\"experiment\": \"\xff\"}\n")
+            .unwrap();
+        assert_closed_silently(&long);
+        assert_closed_silently(&garbled);
+
+        // The daemon serves the next client as if nothing happened.
+        let (mut c, mut r) = client(addr);
+        let v = json::parse(&request(&mut c, &mut r, PING)).unwrap();
+        assert_eq!(v.get("pong").unwrap().as_bool(), Some(true));
+        let v = json::parse(&request(&mut c, &mut r, SHUTDOWN)).unwrap();
+        assert_eq!(v.get("shutdown").unwrap().as_bool(), Some(true));
+        handle.join().unwrap().unwrap();
+    });
+    let c = daemon.serve_counters();
+    assert_eq!(c.connection_errors, 2, "{c:?}");
+    assert_reconciles(&c);
 }

@@ -1,7 +1,8 @@
-//! Load-behaviour test for the readiness-driven serve loop: hundreds of
-//! idle and slow-loris connections must cost nothing — a concurrent
-//! `ping` stays fast with only two workers, the idle deadline reaps the
-//! dead weight, and the reaps are visible in the `metrics` response.
+//! Load-behaviour test for the serve loop: hundreds of idle and
+//! slow-loris connections must not hold up compute — a concurrent
+//! `ping` stays fast with only two compute permits, the idle deadline
+//! reaps the dead weight, and the reaps are visible in the `metrics`
+//! response.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -51,8 +52,8 @@ fn two_workers_survive_two_hundred_idle_and_loris_connections() {
 
         // 100 connections that never send a byte, plus 100 slow-loris
         // peers that send a partial request line and stall mid-frame.
-        // On the old thread-per-connection design this pins every
-        // worker; on the event loop they are a buffer each.
+        // Each parks a connection thread on its socket, never one of
+        // the 2 compute permits.
         let mut dead_weight = Vec::with_capacity(IDLE + LORIS);
         for i in 0..IDLE + LORIS {
             let stream = TcpStream::connect(addr).expect("idle connect");
@@ -64,7 +65,7 @@ fn two_workers_survive_two_hundred_idle_and_loris_connections() {
         }
 
         // With all 200 parked, a real client still gets through fast:
-        // sockets live on the event loop, never on the 2 workers.
+        // a parked socket holds no compute permit.
         let started = Instant::now();
         let resp = request(addr, "{\"experiment\": \"ping\"}");
         let elapsed = started.elapsed();

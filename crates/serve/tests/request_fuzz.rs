@@ -1,7 +1,7 @@
 //! Deterministic fuzz coverage for the NDJSON request path.
 //!
-//! Bytes arriving from the network must never panic the daemon. The
-//! event loop hands every complete UTF-8 line to [`parse_request`] and
+//! Bytes arriving from the network must never panic the daemon. A
+//! connection thread hands every complete UTF-8 line to [`parse_request`] and
 //! renders the outcome through the daemon's request path, so this suite
 //! drives exactly that pair with an exhaustive, seed-free mutation set
 //! over every protocol line:
@@ -11,7 +11,7 @@
 //! * every byte substituted by a JSON-significant character (`"`, `\`,
 //!   `{`, `[`, `-`, `e`) or NUL;
 //! * `[` nesting just under, at and just over [`json::MAX_DEPTH`];
-//! * lines of [`MAX_LINE`] bytes, the longest the event loop accepts.
+//! * lines of [`MAX_LINE`] bytes, the longest a connection accepts.
 //!
 //! Every rejected line must render as `{"ok": false, "error": …}` and
 //! never stop the daemon.
