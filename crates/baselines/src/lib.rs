@@ -22,6 +22,8 @@
 //! # Ok::<(), lowvcc_sram::VoltageError>(())
 //! ```
 
+#![deny(clippy::disallowed_types)]
+
 pub mod comparison;
 pub mod extra_bypass;
 pub mod faulty_bits;

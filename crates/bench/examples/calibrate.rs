@@ -1,4 +1,7 @@
 //! Sweep calibration: suite speedups at the paper's anchor voltages.
+
+#![expect(clippy::print_stdout, reason = "an example reports to the terminal")]
+
 use lowvcc_core::{compare_mechanisms, CoreConfig};
 use lowvcc_sram::{voltage::mv, CycleTimeModel};
 use lowvcc_trace::{TraceSpec, WorkloadFamily};

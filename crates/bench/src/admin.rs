@@ -101,6 +101,7 @@ fn disk_records(dir: &Path) -> Result<Vec<DiskRecord>, StoreError> {
             // Access time where the filesystem tracks it (noatime and
             // relatime mounts are common), else modification time —
             // either way "least recently useful" for the vacuum order.
+            #[expect(clippy::disallowed_methods, reason = "vacuum order, never a result")]
             let touched = meta
                 .accessed()
                 .or_else(|_| meta.modified())

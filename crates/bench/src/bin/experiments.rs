@@ -27,6 +27,12 @@
 //! the same machine are simulated once (`folded`). Timing and per-layer
 //! measurements live in the standalone `perfbench` package.
 
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a binary owns the terminal"
+)]
+
 use std::fmt;
 use std::path::PathBuf;
 use std::process::ExitCode;

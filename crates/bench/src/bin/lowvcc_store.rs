@@ -22,6 +22,12 @@
 //! Exit codes: 0 clean, 1 `verify` quarantined at least one record, 2
 //! usage or I/O errors.
 
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a binary owns the terminal"
+)]
+
 use std::fmt;
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -16,6 +16,8 @@
 //! the uops of the (machine, trace) runs the engine actually made, not
 //! the committed instructions of every requested configuration.
 
+#![deny(clippy::disallowed_types)]
+
 pub mod fig1;
 pub mod fig11a;
 pub mod fig11b;
@@ -189,7 +191,7 @@ pub fn run_all(ctx: &ExperimentContext, out_dir: &Path) -> Result<RunSummary, Ex
     )?;
 
     let store_before = ctx.cache.as_ref().map(|s| s.stats());
-    // lint: allow(no-wallclock) -- report metadata only; never feeds a simulated result
+    #[expect(clippy::disallowed_methods, reason = "report metadata, never a result")]
     let started = Instant::now();
     let m = measure_all(ctx)?;
     let sweep_elapsed = started.elapsed();

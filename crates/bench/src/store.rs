@@ -42,6 +42,8 @@
 //! leader finishes — so N identical concurrent cold queries trigger
 //! exactly one engine invocation.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -482,6 +484,7 @@ impl ResultStore {
     /// the rename fails), so the next lookup of its key is a clean miss
     /// that re-simulates and re-publishes. Never fails: quarantine is
     /// the degradation path, not another error source.
+    #[expect(clippy::print_stderr, reason = "operator log; also counted in stats")]
     pub(crate) fn quarantine(&self, path: &Path, why: &str) {
         self.quarantined.fetch_add(1, Ordering::Relaxed);
         let moved = self.dir.as_ref().and_then(|dir| {
@@ -497,7 +500,6 @@ impl ResultStore {
             // aside must not be read again.
             let _ = self.io.remove_file(path);
         }
-        // lint: allow(no-print) -- operator-facing store log; also counted in stats
         eprintln!("lowvcc-store: quarantined {}: {why}", path.display());
     }
 
@@ -595,7 +597,7 @@ impl ResultStore {
     /// One publish attempt: fsynced tempfile, atomic rename, directory
     /// fsync — all through the [`StoreIo`] seam.
     fn try_publish(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        // Entry paths are always `<dir>/<shard>/<key>.bin`, so a parent
+        // Entry paths are always `<dir>/<shard>/<key>.sim`, so a parent
         // exists; a path without one degrades like any other publish
         // failure instead of killing the caller.
         let Some(shard) = path.parent() else {
@@ -630,6 +632,7 @@ impl ResultStore {
     /// per this store's [`RetryPolicy`] (bounded exponential backoff,
     /// deterministic per-key jitter); exhausting every attempt latches
     /// degraded (memory-only) mode rather than failing the caller.
+    #[expect(clippy::print_stderr, reason = "operator log; also counted in stats")]
     pub fn put(&self, key: SimKey, result: &SimResult) {
         self.tiers().lru.insert(key, result.clone());
         self.stores.fetch_add(1, Ordering::Relaxed);
@@ -657,7 +660,6 @@ impl ResultStore {
         }
         self.write_failures.fetch_add(1, Ordering::Relaxed);
         if !self.degraded.swap(true, Ordering::Relaxed) {
-            // lint: allow(no-print) -- operator-facing store log; also counted in stats
             eprintln!(
                 "lowvcc-store: publish of {} failed after {} attempts ({}); \
                  degrading to memory-only operation",

@@ -13,6 +13,8 @@
 //! half of the store's self-healing story (the read side is quarantine
 //! plus re-simulation; see `store.rs`).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;

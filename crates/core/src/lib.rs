@@ -33,6 +33,8 @@
 //! # }
 //! ```
 
+#![deny(clippy::disallowed_types)]
+
 pub mod adapt;
 pub mod batch;
 pub mod canon;

@@ -8,10 +8,9 @@
 //! assertion only runs in release builds — CI exercises it via
 //! `cargo test --release -p lowvcc-core --test zero_alloc`.
 
-// The one sanctioned unsafe block in the tree: a counting GlobalAlloc
-// has an inherently unsafe interface. Everything else builds under the
-// workspace-wide `unsafe_code = "deny"`.
-#![allow(unsafe_code)]
+// The one sanctioned unsafe block in the tree; everything else builds
+// under the workspace-wide `unsafe_code = "deny"`.
+#![expect(unsafe_code, reason = "a counting GlobalAlloc is unsafe to implement")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

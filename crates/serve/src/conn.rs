@@ -229,6 +229,7 @@ impl<'env> Shared<'env> {
                 continue;
             }
             self.metrics.job_enqueued();
+            #[expect(clippy::disallowed_methods, reason = "request latency for metrics")]
             let enqueued = Instant::now();
             let answered = self.answer(line);
             self.metrics.job_done();
@@ -290,15 +291,16 @@ impl<'env> Shared<'env> {
     }
 
     /// Unblocks `accept` by connecting to the listener.
+    #[expect(clippy::print_stderr, reason = "operator-facing daemon log")]
     fn wake_accept(&self) {
         if let Err(e) = TcpStream::connect_timeout(&self.wake, WAKE_TIMEOUT) {
-            // lint: allow(no-print) -- operator-facing daemon log
             eprintln!("lowvcc-serve: cannot wake the accept loop ({e}); it stops at the next peer");
         }
     }
 
     /// Waits until every connection has ended or the drain deadline
     /// passes, then shuts the stragglers down.
+    #[expect(clippy::disallowed_methods, reason = "drain deadlines are wall-clock")]
     fn await_drain(&self) {
         let deadline = Instant::now() + self.opts.drain_deadline;
         let mut conns = lock(&self.conns);
@@ -369,6 +371,7 @@ fn refuse(mut stream: &TcpStream, line: &str) {
 
 /// Tallies (and logs) one connection outcome. Every accepted
 /// connection reaches this exactly once.
+#[expect(clippy::print_stderr, reason = "operator log; also counted in stats")]
 fn count_end(m: &Metrics, id: u64, end: &End) {
     let (counter, what) = match end {
         End::Completed => (&m.completed, ""),
@@ -383,7 +386,6 @@ fn count_end(m: &Metrics, id: u64, end: &End) {
     };
     counter.fetch_add(1, Ordering::Relaxed);
     if !what.is_empty() {
-        // lint: allow(no-print) -- operator-facing daemon log; also counted in stats
         eprintln!("lowvcc-serve: connection {id}: {what}");
     }
 }

@@ -68,6 +68,7 @@
 //! stderr.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::io;
 use std::net::TcpListener;

@@ -22,7 +22,13 @@
 //! `--cache DIR` shares the store with `experiments --cache DIR` —
 //! either can warm it for the other.
 
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a binary owns the terminal"
+)]
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::net::TcpListener;
 use std::path::PathBuf;

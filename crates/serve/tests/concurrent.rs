@@ -8,6 +8,8 @@
 //! pipelined lines answer in order (refused once shutdown begins), and
 //! over-long or non-UTF-8 lines close their connection as errors.
 
+#![expect(clippy::disallowed_methods, reason = "times client deadlines")]
+
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};

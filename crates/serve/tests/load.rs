@@ -4,6 +4,8 @@
 //! reaps the dead weight, and the reaps are visible in the `metrics`
 //! response.
 
+#![expect(clippy::disallowed_methods, reason = "times client deadlines")]
+
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};

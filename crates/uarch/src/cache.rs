@@ -270,7 +270,7 @@ impl SetAssocCache {
     /// Fills a line, returning the evicted line address if a valid line
     /// was displaced. Returns `Err(())` when every way of the set is
     /// disabled (Faulty Bits can render sets uncacheable).
-    #[allow(clippy::result_unit_err)]
+    #[expect(clippy::result_unit_err, reason = "a fully disabled set has no victim")]
     pub fn fill(&mut self, line_addr: u64) -> Result<Option<u64>, ()> {
         self.clock += 1;
         let set = self.set_index(line_addr) as usize;

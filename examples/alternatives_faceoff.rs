@@ -3,6 +3,8 @@
 //!
 //! Run with: `cargo run --release --example alternatives_faceoff`
 
+#![expect(clippy::print_stdout, reason = "an example reports to the terminal")]
+
 use lowvcc::baselines::{ExtraBypassDesign, ExtraBypassScope, FaultyBitsDesign, FaultyBitsScope};
 use lowvcc::core::{run_suite, CoreConfig, Mechanism, SimConfig};
 use lowvcc::sram::{CycleTimeModel, VccRange};

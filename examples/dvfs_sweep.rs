@@ -4,6 +4,8 @@
 //!
 //! Run with: `cargo run --release --example dvfs_sweep`
 
+#![expect(clippy::print_stdout, reason = "an example reports to the terminal")]
+
 use lowvcc::core::{IrawController, Mechanism};
 use lowvcc::energy::{DvfsController, Objective};
 use lowvcc::sram::{CycleTimeModel, PAPER_SWEEP};

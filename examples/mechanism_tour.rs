@@ -3,6 +3,8 @@
 //!
 //! Run with: `cargo run --release --example mechanism_tour`
 
+#![expect(clippy::print_stdout, reason = "an example reports to the terminal")]
+
 use lowvcc::sram::{CycleTimeModel, Millivolts};
 use lowvcc::trace::Reg;
 use lowvcc::uarch::iq::InstQueue;

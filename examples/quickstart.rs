@@ -3,6 +3,8 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+#![expect(clippy::print_stdout, reason = "an example reports to the terminal")]
+
 use lowvcc::core::{CoreConfig, Mechanism, SimConfig, Simulator};
 use lowvcc::sram::{CycleTimeModel, Millivolts, TimingLimiter};
 use lowvcc::trace::{TraceSpec, WorkloadFamily};

@@ -6,6 +6,8 @@
 //!
 //! Run with: `cargo run --release --example workload_study`
 
+#![expect(clippy::print_stdout, reason = "an example reports to the terminal")]
+
 use lowvcc::core::{compare_mechanisms, CoreConfig};
 use lowvcc::sram::{CycleTimeModel, Millivolts};
 use lowvcc::trace::{TraceSpec, TraceStats, WorkloadFamily};
